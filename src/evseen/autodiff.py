@@ -3,11 +3,13 @@
 Float64 throughout, no broadcasting except scalar-tensor, and exactly the
 primitive set the enhancement network needs.  Nodes are recorded with a global
 sequence number; the backward pass walks the reachable tape once in reverse
-creation order, which is always a valid topological order.
+creation order, which is always a valid topological order.  Inside ``no_grad()``
+nothing is recorded, so inference keeps no tape.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,9 +33,11 @@ __all__ = [
     "grad_check",
     "max_grad_error",
     "collect_tape",
+    "no_grad",
 ]
 
 _SEQ = itertools.count()
+_RECORDING = True  # switched off by no_grad()
 
 
 class _Node:
@@ -155,9 +159,24 @@ def _track(inputs: Sequence[Tensor]) -> bool:
     return any(_wants_grad(t) for t in inputs)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: outputs carry values but no ``_node``.
+
+    The switch is process-wide, not per thread; blocks nest, and leaving one
+    (by an exception too) restores the state it found."""
+    global _RECORDING
+    saved = _RECORDING
+    _RECORDING = False
+    try:
+        yield
+    finally:
+        _RECORDING = saved
+
+
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(data)
-    if _track(inputs):
+    if _RECORDING and _track(inputs):
         out._node = _Node(inputs, backward, out)
     return out
 

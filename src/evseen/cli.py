@@ -8,17 +8,14 @@ and produced files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import align, autodiff, formats, imu, pairing, seenet
-from .bayer import BayerOrder
-from .events import position_embedding, simulate_events, voxelize
+from .events import simulate_events, voxelize_stream
 from .imaging import RadianceField, RgbImage
 
 USAGE_EXIT, DOMAIN_EXIT, IO_EXIT, NUMERIC_EXIT = 1, 2, 3, 4
@@ -29,14 +26,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(USAGE_EXIT)
-
-
-def thread_cap() -> int:
-    value = os.environ.get("EVSEEN_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _manifest(out_dir: Path, command: str, args: dict, inputs: list[Path], outputs: list[Path]) -> None:
@@ -87,9 +76,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 def _cmd_voxelize(ns: argparse.Namespace) -> int:
     stream = formats.read_events(ns.events)
-    t_start = ns.t_start if ns.t_start is not None else (int(stream.ts.min()) if len(stream) else 0)
-    t_end = ns.t_end if ns.t_end is not None else (int(stream.ts.max()) if len(stream) else 1)
-    grid = voxelize(stream, ns.bins, t_start, max(t_end, t_start + 1))
+    grid = voxelize_stream(stream, ns.bins, ns.t_start, ns.t_end)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "voxels.evsf"
@@ -199,7 +186,7 @@ def _cmd_train_toy(ns: argparse.Namespace) -> int:
     inputs: list[Path] = []
     if ns.config is not None:
         inputs.append(Path(ns.config))
-        config = formats.config_from_text(Path(ns.config).read_text(encoding="utf-8"), seenet.SeeNetConfig)
+        config = formats.read_config(ns.config, seenet.SeeNetConfig)
     else:
         config = seenet.SeeNetConfig(seed=ns.seed)
     recordings = _training_scene(ns.seed)
@@ -279,26 +266,12 @@ def _cmd_enhance(ns: argparse.Namespace) -> int:
         raise ValueError(
             f"event sensor {stream.width}x{stream.height} does not match image {img.width}x{img.height}"
         )
-    t0 = int(stream.ts.min()) if len(stream) else 0
-    t1 = int(stream.ts.max()) if len(stream) else 1
-    grid = voxelize(stream, config.voxel_bins, t0, max(t1, t0 + 1))
+    grid = voxelize_stream(stream, config.voxel_bins)
     if ns.prompt_sweep:
         prompts = _parse_sweep(ns.prompt_sweep)
     else:
         prompts = [ns.prompt if ns.prompt is not None else 0.5]
-    for value in prompts:
-        seenet.BrightnessPrompt(value)  # domain check before any work
-    pos = position_embedding(img.width, img.height, BayerOrder(config.bayer), config.pos_dim)
-
-    def render(value: float) -> RgbImage:
-        return seenet.forward(img, grid, value, config, params, pos)
-
-    workers = min(thread_cap(), len(prompts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rendered = list(pool.map(render, prompts))
-    else:
-        rendered = [render(v) for v in prompts]
+    rendered = seenet.forward_prompts(img, grid, prompts, config, params)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []

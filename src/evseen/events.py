@@ -23,6 +23,7 @@ __all__ = [
     "bayer_index",
     "simulate_events",
     "voxelize",
+    "voxelize_stream",
     "position_embedding",
 ]
 
@@ -179,6 +180,21 @@ def voxelize(stream: EventStream, bins: int, t_start: int, t_end: int) -> VoxelG
     np.add.at(grid, (stream.ys, stream.xs, lo), pol * w_lo)
     np.add.at(grid, (stream.ys, stream.xs, lo + 1), pol * w_hi)
     return VoxelGrid(grid, t_start, t_end)
+
+
+def voxelize_stream(
+    stream: EventStream, bins: int, t_start: int | None = None, t_end: int | None = None
+) -> VoxelGrid:
+    """Voxelize over the stream's own time span, or over the bounds given.
+
+    A missing bound falls back to the first (last) timestamp, or 0 (1) for an
+    empty stream; the window is widened to at least one microsecond.
+    """
+    if t_start is None:
+        t_start = int(stream.ts.min()) if len(stream) else 0
+    if t_end is None:
+        t_end = int(stream.ts.max()) if len(stream) else 1
+    return voxelize(stream, bins, t_start, max(t_end, t_start + 1))
 
 
 def position_embedding(width: int, height: int, order: BayerOrder, dim: int) -> np.ndarray:

@@ -5,9 +5,12 @@ manifests.  Every format round-trips write -> read -> write byte-identically.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import math
 import struct
+from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,7 @@ __all__ = [
     "load_checkpoint",
     "config_to_text",
     "config_from_text",
+    "read_config",
     "write_manifest",
     "content_hash",
 ]
@@ -44,6 +48,27 @@ __all__ = [
 
 class FormatError(Exception):
     """Malformed or truncated input file."""
+
+
+def _take(raw: bytes, offset: int, size: int, what: str) -> bytes:
+    """``raw[offset:offset + size]``, or FormatError naming the offset when short."""
+    if offset + size > len(raw):
+        raise FormatError(
+            f"truncated {what} at byte {offset}: {size} bytes needed, {max(len(raw) - offset, 0)} left"
+        )
+    return raw[offset : offset + size]
+
+
+def _unpack(fmt: str, raw: bytes, offset: int, what: str) -> tuple:
+    """Bounds-checked ``struct.unpack_from``."""
+    return struct.unpack(fmt, _take(raw, offset, struct.calcsize(fmt), what))
+
+
+def _utf8(raw: bytes, offset: int, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8 at byte {offset + exc.start}") from exc
 
 
 # --------------------------------------------------------------------------- netpbm
@@ -128,15 +153,10 @@ def evsf_bytes(arr: np.ndarray) -> bytes:
 def evsf_from_bytes(blob: bytes) -> np.ndarray:
     if blob[:4] != b"EVSF":
         raise FormatError("bad EVSF magic")
-    (ndim,) = struct.unpack_from("<I", blob, 4)
-    dims = struct.unpack_from(f"<{ndim}I", blob, 8)
-    count = int(np.prod(dims)) if ndim else 1
-    offset = 8 + 4 * ndim
-    try:
-        data = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-    except ValueError as exc:
-        raise FormatError("truncated EVSF payload") from exc
-    return data.astype(np.float64).reshape(dims)
+    (ndim,) = _unpack("<I", blob, 4, "EVSF rank")
+    dims = _unpack(f"<{ndim}I", blob, 8, "EVSF dims")
+    payload = _take(blob, 8 + 4 * ndim, 4 * math.prod(dims), "EVSF payload")
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
 
 
 def write_evsf(arr: np.ndarray, path: str | Path) -> None:
@@ -168,11 +188,8 @@ def read_events(path: str | Path) -> EventStream:
     raw = Path(path).read_bytes()
     if raw[:4] != b"EVT0":
         raise FormatError("bad EVT0 magic")
-    width, height, count = struct.unpack_from("<HHQ", raw, 4)
-    try:
-        records = np.frombuffer(raw, dtype=_EVT_RECORD, count=count, offset=16)
-    except ValueError as exc:
-        raise FormatError("truncated EVT0 payload") from exc
+    width, height, count = _unpack("<HHQ", raw, 4, "EVT0 header")
+    records = np.frombuffer(_take(raw, 16, count * _EVT_RECORD.itemsize, "EVT0 records"), dtype=_EVT_RECORD)
     return EventStream(width, height, records["x"], records["y"], records["t"], records["p"])
 
 
@@ -279,19 +296,19 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     raw = Path(path).read_bytes()
     if raw[:4] != _CKPT_MAGIC:
         raise FormatError("bad checkpoint magic")
-    (cfg_len,) = struct.unpack_from("<I", raw, 4)
+    (cfg_len,) = _unpack("<I", raw, 4, "checkpoint config length")
     pos = 8
-    config_text = raw[pos : pos + cfg_len].decode("utf-8")
+    config_text = _utf8(_take(raw, pos, cfg_len, "checkpoint config"), pos, "checkpoint config")
     pos += cfg_len
-    (count,) = struct.unpack_from("<I", raw, pos)
+    (count,) = _unpack("<I", raw, pos, "checkpoint entry count")
     pos += 4
     entries = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
+        (name_len,) = _unpack("<H", raw, pos, "checkpoint name length")
         pos += 2
-        name = raw[pos : pos + name_len].decode("utf-8")
+        name = _utf8(_take(raw, pos, name_len, "checkpoint name"), pos, "checkpoint name")
         pos += name_len
-        (offset,) = struct.unpack_from("<Q", raw, pos)
+        (offset,) = _unpack("<Q", raw, pos, "checkpoint offset")
         pos += 8
         entries.append((name, offset))
     arrays: dict[str, np.ndarray] = {}
@@ -302,22 +319,35 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
 
 
 def config_to_text(config) -> str:
-    from dataclasses import fields as dc_fields
-
     lines = [f"{f.name}={getattr(config, f.name)!r}" for f in dc_fields(config)]
     return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str, cls):
-    import ast
-
+    """Flat ``key=value`` lines for the dataclass ``cls``.  Keys must be fields
+    of ``cls`` and values Python literals of the field default's type (an int
+    also serves a float field); anything else is a FormatError naming the line."""
+    defaults = {f.name: f.default for f in dc_fields(cls)}
     kwargs = {}
-    for line in text.strip().split("\n"):
+    for lineno, line in enumerate(text.strip().split("\n"), start=1):
         if not line:
             continue
-        key, _, value = line.partition("=")
-        kwargs[key.strip()] = ast.literal_eval(value.strip())
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in defaults:
+            raise FormatError(f"unknown config key {key!r} at line {lineno}")
+        try:
+            kwargs[key] = ast.literal_eval(value)
+        except (ValueError, SyntaxError) as exc:
+            raise FormatError(f"config key {key!r} at line {lineno}: {value!r} is not a literal") from exc
+        want = type(defaults[key])
+        if type(kwargs[key]) is not want and not (want is float and type(kwargs[key]) is int):
+            raise FormatError(f"config key {key!r} at line {lineno}: expected {want.__name__}, got {value!r}")
     return cls(**kwargs)
+
+
+def read_config(path: str | Path, cls):
+    """``config_from_text`` over a UTF-8 file."""
+    return config_from_text(_utf8(Path(path).read_bytes(), 0, f"config {path}"), cls)
 
 
 # --------------------------------------------------------------------------- manifests

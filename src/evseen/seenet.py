@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bayer import BayerOrder
-from .events import VoxelGrid, position_embedding, voxelize
+from .events import VoxelGrid, position_embedding, voxelize_stream
 from .imaging import RgbImage, brightness
 
 __all__ = [
@@ -32,10 +32,12 @@ __all__ = [
     "input_heads",
     "cross_attention",
     "encode",
+    "encode_image",
     "prompt_embed",
     "decode",
     "loss",
     "forward",
+    "forward_prompts",
     "train_toy",
     "parameter_count",
 ]
@@ -358,6 +360,20 @@ def decode(blr: BlrFeature, b_vec: Tensor, config: SeeNetConfig, params: SeeNetP
     return RgbImage(_decode_tensor(blr, b_vec, config, params).data)
 
 
+def encode_image(
+    img: RgbImage,
+    voxels: VoxelGrid,
+    config: SeeNetConfig,
+    params: SeeNetParams,
+    pos: np.ndarray | None = None,
+) -> BlrFeature:
+    """The prompt-independent half of the network: heads -> encode."""
+    if pos is None:
+        pos = position_embedding(img.width, img.height, BayerOrder(config.bayer), config.pos_dim)
+    f_e, f_i = input_heads(img, voxels, pos, params)
+    return encode(f_e, f_i, config, params)
+
+
 def _forward_tensor(
     img: RgbImage,
     voxels: VoxelGrid,
@@ -366,12 +382,25 @@ def _forward_tensor(
     params: SeeNetParams,
     pos: np.ndarray | None = None,
 ) -> Tensor:
-    if pos is None:
-        pos = position_embedding(img.width, img.height, BayerOrder(config.bayer), config.pos_dim)
-    f_e, f_i = input_heads(img, voxels, pos, params)
-    blr = encode(f_e, f_i, config, params)
-    b_vec = prompt_embed(prompt, params)
-    return _decode_tensor(blr, b_vec, config, params)
+    blr = encode_image(img, voxels, config, params, pos)
+    return _decode_tensor(blr, prompt_embed(prompt, params), config, params)
+
+
+def forward_prompts(
+    img: RgbImage,
+    voxels: VoxelGrid,
+    prompts: "list[BrightnessPrompt | float]",
+    config: SeeNetConfig,
+    params: SeeNetParams,
+    pos: np.ndarray | None = None,
+) -> list[RgbImage]:
+    """Encode once, then decode once per prompt; records no autodiff tape.
+
+    Every prompt is range-checked before the encoder runs."""
+    with ad.no_grad():
+        b_vecs = [prompt_embed(p, params) for p in prompts]
+        blr = encode_image(img, voxels, config, params, pos)
+        return [decode(blr, b_vec, config, params) for b_vec in b_vecs]
 
 
 def forward(
@@ -382,8 +411,9 @@ def forward(
     params: SeeNetParams,
     pos: np.ndarray | None = None,
 ) -> RgbImage:
-    """Full enhancement pass: heads -> encode -> prompt embed -> decode."""
-    return RgbImage(_forward_tensor(img, voxels, prompt, config, params, pos).data)
+    """Full enhancement pass for one prompt, with no tape: ``forward_prompts``
+    on a one-element list."""
+    return forward_prompts(img, voxels, [prompt], config, params, pos)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +490,7 @@ def train_toy(
                 img.width, img.height, BayerOrder(config.bayer), config.pos_dim
             )
         if id(input_rec) not in voxel_cache:
-            ev = input_rec.events
-            t0 = int(ev.ts.min()) if len(ev) else 0
-            t1 = int(ev.ts.max()) if len(ev) else 1
-            voxel_cache[id(input_rec)] = voxelize(ev, config.voxel_bins, t0, max(t1, t0 + 1))
+            voxel_cache[id(input_rec)] = voxelize_stream(input_rec.events, config.voxel_bins)
         voxels = voxel_cache[id(input_rec)]
         prompt = brightness(target)
         pred = _forward_tensor(img, voxels, prompt, config, params, pos_cache[key])

@@ -49,6 +49,19 @@ def shifted_imu_pair(
     return ImuSequence(source), ImuSequence(target), shift
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` with a wrapper that appends to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def toy_training():
     """One trained toy model shared by the training-adjacent tests."""

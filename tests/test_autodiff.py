@@ -139,3 +139,50 @@ class TestTape:
         x = Tensor(np.ones((2, 2)))
         y = ad.relu(x * 2.0)
         assert y._node is None
+
+
+class TestNoGrad:
+    OPS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / (ad.absolute(b) + 1.0),
+        "matmul": lambda a, b: ad.matmul(a, ad.transpose2(b)),
+        "softmax": lambda a, b: ad.softmax_lastdim(a * 1.7),
+        "relu_sigmoid": lambda a, b: ad.relu(a) + ad.sigmoid(b),
+        "sqrt": lambda a, b: ad.sqrt(a * a + 0.1),
+        "concat_slice": lambda a, b: ad.concat_lastdim([ad.slice_axis(a, 1, 0, 2), ad.slice_axis(b, 1, 2, 4)]),
+        "reshape": lambda a, b: ad.reshape(a, (a.size,)),
+        "mean": lambda a, b: ad.mean(-a),
+    }
+
+    def test_records_no_node_and_same_values(self):
+        a, b = rand((3, 4), 20), rand((3, 4), 21)
+        for name, op in self.OPS.items():
+            tracked = op(a, b)
+            with ad.no_grad():
+                untracked = op(a, b)
+            assert tracked._node is not None, name
+            assert untracked._node is None, name
+            assert np.array_equal(tracked.data, untracked.data), name
+
+    def test_switch_restored_after_exception(self):
+        x = rand((2,), 22)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        assert (x * 2.0)._node is not None
+
+    def test_nested_blocks(self):
+        x = rand((2,), 23)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert (x * 2.0)._node is None
+            assert (x * 2.0)._node is None
+        assert (x * 2.0)._node is not None
+
+    def test_grad_check_passes_after_block(self):
+        x = rand((3, 3), 24)
+        with ad.no_grad():
+            ad.mean(ad.softmax_lastdim(x) * x)
+        assert max_grad_error(lambda t: ad.mean(ad.softmax_lastdim(t) * t), x) < 1e-6

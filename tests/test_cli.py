@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import shifted_imu_pair, textured_image
-from evseen import formats
+from conftest import count_calls, shifted_imu_pair, textured_image
+from evseen import formats, seenet
 from evseen.cli import main
 from evseen.imaging import RgbImage
 from evseen.pairing import synth_scene
@@ -318,6 +318,64 @@ class TestTrainEnhance:
             ]
         )
         assert code == 2
+
+
+def enhance_files(tmp_path):
+    rec = synth_scene(0, lighting_scales=(0.25,), width=16, height=16)[0]
+    img_path, ev_path = tmp_path / "input.ppm", tmp_path / "events.evt0"
+    formats.write_ppm(rec.frames[0], img_path)
+    formats.write_events(rec.events, ev_path)
+    return img_path, ev_path
+
+
+def enhance(img_path, ev_path, ckpt, out, *extra):
+    return main(
+        ["enhance", "--input", str(img_path), "--events", str(ev_path), "--checkpoint", str(ckpt), *extra, "--out", str(out)]
+    )
+
+
+class TestEnhanceBoundaries:
+    def test_sweep_encodes_once(self, trained_dir, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, seenet, "encode")
+        img_path, ev_path = enhance_files(tmp_path)
+        ckpt = trained_dir / "checkpoint.evck"
+        assert enhance(img_path, ev_path, ckpt, tmp_path / "out", "--prompt-sweep", "0.3:0.7:0.1") == 0
+        assert len(calls) == 1
+        assert len(list((tmp_path / "out").glob("enhanced_*.ppm"))) == 5
+
+    @pytest.mark.parametrize("which, keep", [("checkpoint", 6), ("checkpoint", 13), ("checkpoint", 20), ("events", 6), ("events", 10), ("events", 14)])
+    def test_truncated_input_exits_3(self, trained_dir, tmp_path, which, keep, capsys):
+        img_path, ev_path = enhance_files(tmp_path)
+        ckpt = tmp_path / "model.evck"
+        ckpt.write_bytes((trained_dir / "checkpoint.evck").read_bytes())
+        victim = ckpt if which == "checkpoint" else ev_path
+        victim.write_bytes(victim.read_bytes()[:keep])
+        assert enhance(img_path, ev_path, ckpt, tmp_path / "out") == 3
+        assert "truncated" in capsys.readouterr().err
+
+    def test_non_utf8_checkpoint_config_exits_3(self, trained_dir, tmp_path):
+        img_path, ev_path = enhance_files(tmp_path)
+        raw = bytearray((trained_dir / "checkpoint.evck").read_bytes())
+        raw[8] = 0xFF  # first byte of the config text
+        ckpt = tmp_path / "model.evck"
+        ckpt.write_bytes(bytes(raw))
+        assert enhance(img_path, ev_path, ckpt, tmp_path / "out") == 3
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"bogus=3\n", "'bogus' at line 1"),
+            (b"channels=8 8\n", "'channels' at line 1"),
+            (b"heads=[1\n", "'heads' at line 1"),
+            (b"channels='8'\n", "'channels' at line 1"),
+            (b"bayer='\xff'\n", "not UTF-8 at byte 7"),
+        ],
+    )
+    def test_bad_config_file_exits_3(self, tmp_path, text, message, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(text)
+        assert main(["train-toy", "--steps", "1", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestGradCheckCli:

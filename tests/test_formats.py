@@ -9,6 +9,7 @@ from evseen.formats import (
     evsf_bytes,
     evsf_from_bytes,
     load_checkpoint,
+    read_config,
     read_events,
     read_events_csv,
     read_evsf,
@@ -26,6 +27,7 @@ from evseen.formats import (
 )
 from evseen.imaging import RawImage, RgbImage
 from evseen.imu import ImuSequence, Registration
+from evseen.seenet import SeeNetConfig
 
 
 def sample_stream(seed=0, n=64) -> EventStream:
@@ -173,3 +175,71 @@ class TestCheckpoint:
         text = config_to_text(cfg)
         back = config_from_text(text, SeeNetConfig)
         assert back == cfg
+
+
+class TestTruncation:
+    """Every strict prefix of a valid file, header bytes included, is a FormatError."""
+
+    @staticmethod
+    def assert_every_prefix_fails(raw, path, reader):
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(FormatError):
+                reader(path)
+
+    def test_events(self, tmp_path):
+        p = tmp_path / "a.evt0"
+        write_events(sample_stream(n=3), p)
+        self.assert_every_prefix_fails(p.read_bytes(), p, read_events)
+
+    def test_evsf(self, tmp_path):
+        p = tmp_path / "a.evsf"
+        write_evsf(np.arange(6.0).reshape(2, 3), p)
+        self.assert_every_prefix_fails(p.read_bytes(), p, read_evsf)
+
+    def test_checkpoint(self, tmp_path):
+        p = tmp_path / "a.evck"
+        save_checkpoint([("a.w", np.ones((2, 2))), ("a.b", np.zeros(2))], "name='\u00e9t\u00e9'\n", p)
+        self.assert_every_prefix_fails(p.read_bytes(), p, load_checkpoint)
+
+    def test_error_names_byte_offset(self, tmp_path):
+        p = tmp_path / "a.evt0"
+        write_events(sample_stream(n=3), p)
+        p.write_bytes(p.read_bytes()[:10])
+        with pytest.raises(FormatError, match="EVT0 header at byte 4"):
+            read_events(p)
+
+    def test_non_utf8_checkpoint_config(self, tmp_path):
+        p = tmp_path / "a.evck"
+        save_checkpoint([("a.b", np.zeros(2))], "k=1\n", p)
+        raw = bytearray(p.read_bytes())
+        raw[8] = 0xFF  # first byte of the config text
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="byte 8"):
+            load_checkpoint(p)
+
+
+class TestConfigText:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("channels=8\nbogus=3\n", "unknown config key 'bogus' at line 2"),
+            ("channels=8 8\n", "config key 'channels' at line 1"),
+            ("heads=[1\n", "config key 'heads' at line 1"),
+            ("heads\n", "config key 'heads' at line 1"),
+            ("channels='16'\n", "config key 'channels' at line 1: expected int"),
+            ("lambda1=True\n", "config key 'lambda1' at line 1: expected float"),
+        ],
+    )
+    def test_bad_lines_name_line_and_key(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            config_from_text(text, SeeNetConfig)
+
+    def test_int_serves_float_field(self):
+        assert config_from_text("lambda1=2\n", SeeNetConfig).lambda1 == 2
+
+    def test_read_config_rejects_non_utf8(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_bytes(b"bayer='\xff'\n")
+        with pytest.raises(FormatError, match="byte 7"):
+            read_config(p, SeeNetConfig)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evseen.autodiff as ad
+from conftest import count_calls
 from evseen.autodiff import Tensor
 from evseen.bayer import BayerOrder
 from evseen.events import VoxelGrid, position_embedding, voxelize
@@ -16,7 +17,9 @@ from evseen.seenet import (
     cross_attention,
     decode,
     encode,
+    encode_image,
     forward,
+    forward_prompts,
     init_params,
     input_heads,
     load_params,
@@ -26,7 +29,8 @@ from evseen.seenet import (
     save_params,
     train_toy,
 )
-from evseen.seenet import BlrFeature, _decode_tensor
+from evseen import seenet
+from evseen.seenet import BlrFeature, _decode_tensor, _forward_tensor
 
 
 CFG = SeeNetConfig(channels=8, heads=2, loop_count=2, voxel_bins=4, pos_dim=4, seed=1)
@@ -333,6 +337,43 @@ class TestForward:
         a = forward(img, grid, 0.5, c1, p1, pos)
         b = forward(img, grid, 0.5, c2, p2, pos)
         assert (a.values == b.values).all()
+
+
+class TestForwardPrompts:
+    PROMPTS = [0.3, 0.45, 0.5, 0.7]
+
+    def test_matches_per_prompt_tracked_forward(self):
+        params = init_params(CFG)
+        img, grid, pos = toy_inputs(13, h=5, w=7)
+        outs = forward_prompts(img, grid, self.PROMPTS, CFG, params, pos)
+        assert len(outs) == len(self.PROMPTS)
+        for p, out in zip(self.PROMPTS, outs):
+            assert np.array_equal(out.values, _forward_tensor(img, grid, p, CFG, params, pos).data)
+
+    def test_default_position_feature(self):
+        params = init_params(CFG)
+        img, grid, pos = toy_inputs(14)
+        assert np.array_equal(
+            encode_image(img, grid, CFG, params).tensor.data,
+            encode_image(img, grid, CFG, params, pos).tensor.data,
+        )
+
+    def test_encodes_once_and_records_no_tape(self, monkeypatch):
+        calls = count_calls(monkeypatch, seenet, "encode")
+        params = init_params(CFG)
+        img, grid, pos = toy_inputs(15)
+        before = next(ad._SEQ)
+        forward_prompts(img, grid, self.PROMPTS, CFG, params, pos)
+        assert next(ad._SEQ) == before + 1  # no _Node drew a sequence number
+        assert len(calls) == 1
+
+    def test_bad_prompt_rejected_before_encoding(self, monkeypatch):
+        calls = count_calls(monkeypatch, seenet, "encode")
+        params = init_params(CFG)
+        img, grid, pos = toy_inputs(16)
+        with pytest.raises(ValueError):
+            forward_prompts(img, grid, [0.5, 1.5], CFG, params, pos)
+        assert calls == []
 
 
 class TestTraining:
