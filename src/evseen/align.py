@@ -80,6 +80,7 @@ class AlignmentReport:
     max_px: float
     inlier_count: int
     match_count: int
+    transform: AffineTransform
 
 
 def _to_gray(img: RgbImage) -> np.ndarray:
@@ -285,7 +286,7 @@ def evaluate_alignment(
     err = np.linalg.norm(transform.apply(src) - dst, axis=1)
     inlier_count = int((err <= inlier_px).sum())
     mean_px, max_px = mean_displacement(transform, img_a.width, img_a.height)
-    return AlignmentReport(mean_px, max_px, inlier_count, len(matches))
+    return AlignmentReport(mean_px, max_px, inlier_count, len(matches), transform)
 
 
 def warp_affine(img: RgbImage, t: AffineTransform) -> RgbImage:

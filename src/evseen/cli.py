@@ -110,19 +110,12 @@ def _cmd_register_imu(ns: argparse.Namespace) -> int:
 def _cmd_eval_align(ns: argparse.Namespace) -> int:
     img_a = formats.read_ppm(ns.image_a)
     img_b = formats.read_ppm(ns.image_b)
-    kps_a = align.detect_keypoints(img_a, ns.max_keypoints)
-    kps_b = align.detect_keypoints(img_b, ns.max_keypoints)
-    matches = align.match_keypoints(kps_a, kps_b, ns.ratio)
-    if len(matches) < 3:
-        raise ValueError(f"only {len(matches)} keypoint matches; need at least 3")
-    src = np.array([[kps_a[i].x, kps_a[i].y] for i, _ in matches])
-    dst = np.array([[kps_b[j].x, kps_b[j].y] for _, j in matches])
-    transform = align.ransac_affine(src, dst, ns.iterations, ns.inlier_px, ns.seed)
-    err = np.linalg.norm(transform.apply(src) - dst, axis=1)
-    mean_px, max_px = align.mean_displacement(transform, img_a.width, img_a.height)
-    print(f"{mean_px!r},{max_px!r},{int((err <= ns.inlier_px).sum())},{len(matches)}")
+    report = align.evaluate_alignment(
+        img_a, img_b, ns.max_keypoints, ns.ratio, ns.iterations, ns.inlier_px, ns.seed
+    )
+    print(f"{report.mean_px!r},{report.max_px!r},{report.inlier_count},{report.match_count}")
     if ns.transform_out:
-        Path(ns.transform_out).write_text(transform.to_line() + "\n", encoding="utf-8")
+        Path(ns.transform_out).write_text(report.transform.to_line() + "\n", encoding="utf-8")
     return 0
 
 

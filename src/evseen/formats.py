@@ -97,7 +97,9 @@ def _read_pnm_header(raw: bytes, magic: bytes, fields: int) -> tuple[list[int], 
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise FormatError("truncated netpbm header")
+            raise FormatError(f"truncated netpbm header at byte {pos}")
+        if not raw[start:pos].isdigit() or pos - start > 9:
+            raise FormatError(f"netpbm header field at byte {start} is not a decimal number below 10^9")
         values.append(int(raw[start:pos]))
     return values, pos + 1  # single whitespace byte after maxval
 
@@ -137,6 +139,9 @@ def read_pgm(path: str | Path) -> RawImage:
         data = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
     except ValueError as exc:
         raise FormatError("truncated PGM payload") from exc
+    over = np.flatnonzero(data > maxval)
+    if over.size:
+        raise FormatError(f"PGM sample above maxval {maxval} at byte {offset + over[0] * data.itemsize}")
     return RawImage(data.astype(np.uint16).reshape(height, width), bit_depth)
 
 
@@ -156,7 +161,10 @@ def evsf_from_bytes(blob: bytes) -> np.ndarray:
     (ndim,) = _unpack("<I", blob, 4, "EVSF rank")
     dims = _unpack(f"<{ndim}I", blob, 8, "EVSF dims")
     payload = _take(blob, 8 + 4 * ndim, 4 * math.prod(dims), "EVSF payload")
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+    try:
+        return np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
+    except ValueError as exc:
+        raise FormatError(f"EVSF dims {dims} at byte 8: {exc}") from exc
 
 
 def write_evsf(arr: np.ndarray, path: str | Path) -> None:
@@ -190,6 +198,10 @@ def read_events(path: str | Path) -> EventStream:
         raise FormatError("bad EVT0 magic")
     width, height, count = _unpack("<HHQ", raw, 4, "EVT0 header")
     records = np.frombuffer(_take(raw, 16, count * _EVT_RECORD.itemsize, "EVT0 records"), dtype=_EVT_RECORD)
+    bad = np.flatnonzero((records["x"] >= width) | (records["y"] >= height) | (np.abs(records["p"]) != 1))
+    if bad.size:
+        offset = 16 + bad[0] * _EVT_RECORD.itemsize
+        raise FormatError(f"EVT0 record at byte {offset} is off the {width}x{height} sensor or not of polarity +-1")
     return EventStream(width, height, records["x"], records["y"], records["t"], records["p"])
 
 
@@ -201,8 +213,7 @@ def write_events_csv(stream: EventStream, path: str | Path) -> None:
 
 
 def read_events_csv(path: str | Path, width: int, height: int) -> EventStream:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.strip().split("\n")
+    lines = _utf8(Path(path).read_bytes(), 0, f"event CSV {path}").strip().split("\n")
     if not lines or lines[0] != "x,y,t_us,p":
         raise FormatError("missing event CSV header")
     xs, ys, ts, ps = [], [], [], []
@@ -217,6 +228,8 @@ def read_events_csv(path: str | Path, width: int, height: int) -> EventStream:
             ps.append(int(parts[3]))
         except ValueError as exc:
             raise FormatError(f"malformed event CSV row at line {lineno}") from exc
+        if not (0 <= xs[-1] < width and 0 <= ys[-1] < height and abs(ps[-1]) == 1 and abs(ts[-1]) < 2**63):
+            raise FormatError(f"event CSV row at line {lineno} is off the {width}x{height} sensor or out of range")
     return EventStream(width, height, np.array(xs), np.array(ys), np.array(ts), np.array(ps))
 
 
@@ -236,8 +249,7 @@ def write_imu_csv(seq: ImuSequence, path: str | Path) -> None:
 
 
 def read_imu_csv(path: str | Path) -> ImuSequence:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.strip().split("\n")
+    lines = _utf8(Path(path).read_bytes(), 0, f"IMU CSV {path}").strip().split("\n")
     if not lines or lines[0] != _IMU_HEADER:
         raise FormatError("missing IMU CSV header")
     times = []
@@ -251,11 +263,17 @@ def read_imu_csv(path: str | Path) -> ImuSequence:
             rows.append([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise FormatError(f"malformed IMU CSV row at line {lineno}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise FormatError(f"non-finite IMU CSV sample at line {lineno}")
     if not rows:
         raise FormatError("IMU CSV has no samples")
-    t0 = times[0]
-    rate = 1_000_000 / (times[1] - times[0]) if len(times) > 1 else 1000.0
-    return ImuSequence(np.array(rows), rate, t0)
+    steps = [b - a for a, b in zip(times, times[1:])]
+    for lineno, step in enumerate(steps, start=3):
+        # write_imu_csv rounds each timestamp to the microsecond, so steps may differ by one
+        if step <= 0 or abs(step - steps[0]) > 1:
+            raise FormatError(f"IMU CSV timestamp at line {lineno} is {step} us after the last, not {steps[0]}")
+    rate = 1_000_000 / steps[0] if steps else 1000.0
+    return ImuSequence(np.array(rows), rate, times[0])
 
 
 def registration_line(reg) -> str:
@@ -342,7 +360,10 @@ def config_from_text(text: str, cls):
         want = type(defaults[key])
         if type(kwargs[key]) is not want and not (want is float and type(kwargs[key]) is int):
             raise FormatError(f"config key {key!r} at line {lineno}: expected {want.__name__}, got {value!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise FormatError(f"config rejected: {exc}") from exc
 
 
 def read_config(path: str | Path, cls):

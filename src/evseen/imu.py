@@ -275,7 +275,8 @@ def register_exhaustive(
     source: ImuSequence, target: ImuSequence, l_min_fraction: float = 0.5
 ) -> Registration:
     """Full level-0 scan over every admissible bias and length; the reference
-    the hierarchical search is checked against."""
+    the hierarchical search is checked against.  It shares ``register``'s
+    per-bias scan, which ``tests/test_imu.py`` checks against a two-loop score."""
     if not 0 < l_min_fraction <= 1:
         raise ValueError("l_min_fraction must be in (0, 1]")
     if source.rate_hz != target.rate_hz:
@@ -283,26 +284,10 @@ def register_exhaustive(
     s, t = source.samples, target.samples
     ns, nt = s.shape[0], t.shape[0]
     l_min = _level_l_min(ns, nt, l_min_fraction)
-    evaluations = 0
-    best_key = None
-    best = None
-    for b in _bias_candidates(ns, nt, l_min):
-        start_t = max(0, b)
-        start_s = start_t - b
-        overlap = min(ns - start_s, nt - start_t)
-        if overlap < l_min:
-            continue
-        diff = np.abs(s[start_s : start_s + overlap] - t[start_t : start_t + overlap]).sum(axis=1)
-        scores = np.cumsum(diff)[l_min - 1 :] / (CHANNELS * np.arange(l_min, overlap + 1))
-        evaluations += len(scores)
-        low = scores.min()
-        length = int(l_min + np.flatnonzero(scores == low).max())
-        key = (float(low), -length, abs(b), b)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (b, length, float(low))
+    counter = _EvalCounter()
+    best = _search_biases(s, t, _bias_candidates(ns, nt, l_min), l_min, counter)
     if best is None:
         raise ValueError("no admissible overlap")
     bias, length, score = best
     bias_us = round(bias * 1_000_000 / source.rate_hz)
-    return Registration(bias, bias_us, length, score, evaluations)
+    return Registration(bias, bias_us, length, score, counter.count)

@@ -12,7 +12,7 @@ forward-difference gradient term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class SeeNetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.channels < 1 or self.heads < 1:
+            raise ValueError("channels and heads must be >= 1")
         if self.channels % self.heads:
             raise ValueError("channels must be divisible by heads")
         if self.loop_count < 1:
@@ -139,37 +141,21 @@ class SeeNetParams:
     decoder: list[LinearParams] = field(default_factory=list)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
+        """Every parameter by dotted path, walking the fields in declaration
+        order (list items as ``.{i}``); this order is the checkpoint layout."""
         out: list[tuple[str, Tensor]] = []
 
-        def lin(name: str, p: LinearParams) -> None:
-            out.append((f"{name}.w", p.w))
-            out.append((f"{name}.b", p.b))
+        def walk(name: str, value) -> None:
+            if isinstance(value, Tensor):
+                out.append((name, value))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    walk(f"{name}.{i}", item)
+            else:
+                for f in fields(value):
+                    walk(f"{name}.{f.name}" if name else f.name, getattr(value, f.name))
 
-        def block(name: str, p: AttentionBlockParams) -> None:
-            out.append((f"{name}.ln_q.gamma", p.ln_q.gamma))
-            out.append((f"{name}.ln_q.beta", p.ln_q.beta))
-            out.append((f"{name}.ln_kv.gamma", p.ln_kv.gamma))
-            out.append((f"{name}.ln_kv.beta", p.ln_kv.beta))
-            lin(f"{name}.wq", p.wq)
-            lin(f"{name}.wk", p.wk)
-            lin(f"{name}.wv", p.wv)
-            lin(f"{name}.wo", p.wo)
-            out.append((f"{name}.ln_ff.gamma", p.ln_ff.gamma))
-            out.append((f"{name}.ln_ff.beta", p.ln_ff.beta))
-            lin(f"{name}.ff1", p.ff1)
-            lin(f"{name}.ff2", p.ff2)
-
-        lin("head_event_1", self.head_event_1)
-        lin("head_event_2", self.head_event_2)
-        lin("head_image_1", self.head_image_1)
-        lin("head_image_2", self.head_image_2)
-        block("fuse", self.fuse)
-        block("loop_event", self.loop_event)
-        block("loop_anchor", self.loop_anchor)
-        lin("prompt_in", self.prompt_in)
-        lin("prompt_out", self.prompt_out)
-        for i, layer in enumerate(self.decoder):
-            lin(f"decoder.{i}", layer)
+        walk("", self)
         return out
 
 
@@ -532,7 +518,9 @@ def load_params(path) -> tuple[SeeNetParams, SeeNetConfig]:
         if name not in arrays:
             raise formats.FormatError(f"checkpoint missing parameter {name}")
         if arrays[name].shape != tensor.data.shape:
-            raise ValueError(f"checkpoint parameter {name} has shape {arrays[name].shape}")
+            raise formats.FormatError(
+                f"checkpoint parameter {name} has shape {arrays[name].shape}, expected {tensor.data.shape}"
+            )
         tensor.data = arrays[name]
     return params, config
 

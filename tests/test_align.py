@@ -194,6 +194,13 @@ class TestPipeline:
         true_mean, _ = mean_displacement(t, img.width, img.height)
         assert abs(report.mean_px - true_mean) < 0.1
 
+    def test_report_carries_the_fitted_transform(self):
+        img = textured_image(5)
+        t = rotation_about_center(1.0, img.width, img.height, tx=3.0, ty=-2.0)
+        report = evaluate_alignment(img, warp_affine(img, t))
+        assert np.abs(report.transform.matrix[:, :2] - t.matrix[:, :2]).max() < 0.01
+        assert mean_displacement(report.transform, img.width, img.height) == (report.mean_px, report.max_px)
+
     def test_translation_grid_shift_consistency(self):
         # composing a pure translation with a shift of the pixel grid origin
         # leaves the displacement field untouched

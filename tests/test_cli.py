@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, shifted_imu_pair, textured_image
-from evseen import formats, seenet
+from evseen import align, formats, seenet
 from evseen.cli import main
 from evseen.imaging import RgbImage
 from evseen.pairing import synth_scene
@@ -73,6 +73,38 @@ class TestExitCodes:
         code = main(["register-imu", "--source", str(bad), "--target", str(bad)])
         assert code == 3
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", [(0, 0), (0, 1000, 500)])
+    def test_io_error_uneven_imu_timestamps(self, tmp_path, times, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t_us,ax,ay,az,gx,gy,gz\n" + "".join(f"{t},1,2,3,4,5,6\n" for t in times))
+        code = main(["register-imu", "--source", str(bad), "--target", str(bad)])
+        assert code == 3
+        assert f"line {len(times) + 1}" in capsys.readouterr().err
+
+    def test_io_error_non_numeric_ppm_header(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6\nxx 2\n255\n" + bytes(12))
+        code = main(["eval-align", "--image-a", str(bad), "--image-b", str(bad)])
+        assert code == 3
+        assert "byte 3" in capsys.readouterr().err
+
+    def test_flipped_imu_csv_exits_0_or_3(self, tmp_path, capsys):
+        source, target, _ = shifted_imu_pair(3, n=64, shift=5)
+        formats.write_imu_csv(source, tmp_path / "source.csv")
+        formats.write_imu_csv(target, tmp_path / "target.csv")
+        raw = (tmp_path / "source.csv").read_bytes()
+        argv = ["register-imu", "--source", str(tmp_path / "flipped.csv"), "--target", str(tmp_path / "target.csv"), "--pool", "4"]
+        rng = np.random.default_rng(0)
+        codes = set()
+        for _ in range(60):
+            flipped = bytearray(raw)
+            for bit in rng.choice(8 * len(raw), size=rng.integers(1, 3), replace=False):
+                flipped[bit // 8] ^= 1 << (bit % 8)
+            (tmp_path / "flipped.csv").write_bytes(bytes(flipped))
+            codes.add(main(argv))
+        capsys.readouterr()
+        assert codes == {0, 3}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_divergent_training(self, tmp_path):
@@ -157,6 +189,20 @@ class TestEvalAlignCli:
         mean_px, max_px, inliers, matches = capsys.readouterr().out.strip().split(",")
         assert float(mean_px) == 0.0
         assert inliers == matches
+
+    def test_prints_the_evaluate_alignment_report(self, tmp_path, capsys):
+        img = textured_image(3)
+        warp = align.AffineTransform(np.array([[0.9997, -0.0262, 3.0], [0.0262, 0.9997, -1.5]]))
+        path_a, path_b, out = tmp_path / "a.ppm", tmp_path / "b.ppm", tmp_path / "t.txt"
+        formats.write_ppm(img, path_a)
+        formats.write_ppm(align.warp_affine(img, warp), path_b)
+        code = main(["eval-align", "--image-a", str(path_a), "--image-b", str(path_b), "--seed", "2", "--transform-out", str(out)])
+        assert code == 0
+        report = align.evaluate_alignment(formats.read_ppm(path_a), formats.read_ppm(path_b), seed=2)
+        assert report.inlier_count >= 3
+        line = f"{report.mean_px!r},{report.max_px!r},{report.inlier_count},{report.match_count}\n"
+        assert capsys.readouterr().out == line
+        assert out.read_text() == report.transform.to_line() + "\n"
 
 
 class TestPairCli:

@@ -27,7 +27,7 @@ from evseen.formats import (
 )
 from evseen.imaging import RawImage, RgbImage
 from evseen.imu import ImuSequence, Registration
-from evseen.seenet import SeeNetConfig
+from evseen.seenet import SeeNetConfig, init_params, load_params, save_params
 
 
 def sample_stream(seed=0, n=64) -> EventStream:
@@ -69,6 +69,22 @@ class TestImages:
         with pytest.raises(FormatError):
             read_ppm(p)
 
+    @pytest.mark.parametrize("header", [b"P6\nxx 2\n255\n", b"P6\n-1 -1\n255\n", b"P6\n+2 2\n255\n"])
+    def test_ppm_non_numeric_header_names_byte(self, tmp_path, header):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(header + bytes(12))
+        with pytest.raises(FormatError, match="at byte 3"):
+            read_ppm(p)
+
+    def test_pgm_sample_above_maxval_names_byte(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        write_pgm(RawImage(np.zeros((2, 3), dtype=np.uint16), 12), p)
+        raw = bytearray(p.read_bytes())
+        raw[-4] = 0x10  # the fifth of six big-endian samples becomes 4096
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"byte {len(raw) - 4}"):
+            read_pgm(p)
+
 
 class TestEvsf:
     def test_round_trip_bytes(self, tmp_path):
@@ -93,6 +109,12 @@ class TestEvsf:
         blob = evsf_bytes(np.ones(10))
         with pytest.raises(FormatError):
             evsf_from_bytes(blob[:-4])
+
+    def test_dims_too_big_for_reshape(self):
+        # an empty payload that reshape still rejects: 0 x (2^32 - 1)^3
+        blob = b"EVSF" + (4).to_bytes(4, "little") + bytes(4) + b"\xff" * 12
+        with pytest.raises(FormatError, match="EVSF dims"):
+            evsf_from_bytes(blob)
 
 
 class TestEvents:
@@ -128,6 +150,31 @@ class TestEvents:
         with pytest.raises(FormatError, match="line 3"):
             read_events_csv(p, 4, 4)
 
+    @pytest.mark.parametrize("row", ["4,0,5,+1", "0,-1,5,+1", "0,0,5,+2", "0,0,5,0", f"0,0,{2**63},+1"])
+    def test_csv_row_off_sensor_or_polarity_reports_line(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"x,y,t_us,p\n1,2,3,+1\n{row}\n")
+        with pytest.raises(FormatError, match="line 3"):
+            read_events_csv(p, 4, 4)
+
+    @pytest.mark.parametrize("at, value", [(0, b"\x20\x00"), (2, b"\x18\x00"), (12, b"\x00"), (12, b"\x80")])
+    def test_binary_record_off_sensor_or_polarity_names_byte(self, tmp_path, at, value):
+        # record layout: x u16 at 0, y u16 at 2, t i64 at 4, p i8 at 12; the sensor is 32 x 24
+        p = tmp_path / "a.evt0"
+        write_events(sample_stream(n=3), p)
+        raw = bytearray(p.read_bytes())
+        record = 16 + 13  # the second record
+        raw[record + at : record + at + len(value)] = value
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"record at byte {record}"):
+            read_events(p)
+
+    def test_csv_non_utf8(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"x,y,t_us,p\n1,2,3,+1\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8 at byte 19"):
+            read_events_csv(p, 4, 4)
+
 
 class TestImu:
     def test_round_trip_bytes(self, tmp_path):
@@ -146,6 +193,34 @@ class TestImu:
         p = tmp_path / "bad.csv"
         p.write_text("t_us,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n1000,oops,2,3,4,5,6\n")
         with pytest.raises(FormatError, match="line 3"):
+            read_imu_csv(p)
+
+    def test_uneven_rate_round_trip_accepted(self, tmp_path):
+        # 300 Hz: rounded timestamps step by 3333 or 3334 us
+        p = tmp_path / "a.csv"
+        write_imu_csv(ImuSequence(np.zeros((10, 6)), 300.0), p)
+        assert read_imu_csv(p).rate_hz == 1_000_000 / 3333
+
+    @pytest.mark.parametrize(
+        "times, line",
+        [((0, 0), 3), ((0, 1000, 0), 4), ((0, 1000, 2002), 4), ((0, 1000, 1998), 4), ((0, -1000), 3)],
+    )
+    def test_uneven_timestamps_report_line(self, tmp_path, times, line):
+        p = tmp_path / "bad.csv"
+        p.write_text("t_us,ax,ay,az,gx,gy,gz\n" + "".join(f"{t},1,2,3,4,5,6\n" for t in times))
+        with pytest.raises(FormatError, match=f"line {line}"):
+            read_imu_csv(p)
+
+    def test_non_finite_sample_reports_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("t_us,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,6\n1000,1,2,inf,4,5,6\n")
+        with pytest.raises(FormatError, match="line 3"):
+            read_imu_csv(p)
+
+    def test_non_utf8(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"t_us,ax,ay,az,gx,gy,gz\n0,1,2,3,4,5,\xe96\n")
+        with pytest.raises(FormatError, match="not UTF-8 at byte 35"):
             read_imu_csv(p)
 
     def test_registration_line(self):
@@ -168,6 +243,15 @@ class TestCheckpoint:
         save_checkpoint([(n, arrays[n]) for n, _ in named], text, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_wrong_parameter_shape(self, tmp_path):
+        cfg = SeeNetConfig(channels=4, heads=2, loop_count=1, decoder_layers=2, voxel_bins=2, pos_dim=3)
+        named = [(name, t.data) for name, t in init_params(cfg).named_tensors()]
+        named[1] = (named[1][0], np.zeros(5))
+        p = tmp_path / "a.evck"
+        save_checkpoint(named, config_to_text(cfg), p)
+        with pytest.raises(FormatError, match=f"{named[1][0]} has shape"):
+            load_params(p)
+
     def test_config_text_round_trip(self):
         from evseen.seenet import SeeNetConfig
 
@@ -177,8 +261,33 @@ class TestCheckpoint:
         assert back == cfg
 
 
+def _write_imu(path):
+    write_imu_csv(ImuSequence(np.random.default_rng(7).normal(size=(12, 6)), 300.0, 5_000), path)
+
+
+def _write_checkpoint(path):
+    cfg = SeeNetConfig(channels=4, heads=2, loop_count=1, decoder_layers=2, voxel_bins=2, pos_dim=3)
+    save_params(init_params(cfg), cfg, path)
+
+
+# (file name, writer of one valid file, reader) for every reader of the program
+READERS = [
+    ("a.evt0", lambda p: write_events(sample_stream(n=12), p), read_events),
+    ("a.evsf", lambda p: write_evsf(np.arange(24.0).reshape(2, 3, 4), p), read_evsf),
+    ("a.evck", _write_checkpoint, load_params),
+    ("a.ppm", lambda p: write_ppm(RgbImage(np.random.default_rng(8).uniform(0, 1, (5, 4, 3))), p), read_ppm),
+    ("a.pgm", lambda p: write_pgm(RawImage(np.random.default_rng(9).integers(0, 4096, (5, 4)), 12), p), read_pgm),
+    ("b.pgm", lambda p: write_pgm(RawImage(np.random.default_rng(9).integers(0, 256, (5, 4)), 8), p), read_pgm),
+    ("e.csv", lambda p: write_events_csv(sample_stream(n=12), p), lambda p: read_events_csv(p, 32, 24)),
+    ("i.csv", _write_imu, read_imu_csv),
+    ("c.txt", lambda p: p.write_text(config_to_text(SeeNetConfig())), lambda p: read_config(p, SeeNetConfig)),
+]
+
+
 class TestTruncation:
-    """Every strict prefix of a valid file, header bytes included, is a FormatError."""
+    """Every strict prefix of a valid file, header bytes included, is a FormatError;
+    under truncation and seeded bit flips every reader returns a value or raises
+    FormatError, nothing else."""
 
     @staticmethod
     def assert_every_prefix_fails(raw, path, reader):
@@ -186,6 +295,26 @@ class TestTruncation:
             path.write_bytes(raw[:n])
             with pytest.raises(FormatError):
                 reader(path)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("name, write, reader", READERS, ids=[r[0] for r in READERS])
+    def test_prefixes_and_bit_flips_raise_only_format_error(self, tmp_path, name, write, reader):
+        path = tmp_path / name
+        write(path)
+        raw = path.read_bytes()
+        rng = np.random.default_rng(len(raw))
+        variants = [raw[:n] for n in range(len(raw))]
+        for _ in range(400):
+            flipped = bytearray(raw)
+            for bit in rng.choice(8 * len(raw), size=rng.integers(1, 3), replace=False):
+                flipped[bit // 8] ^= 1 << (bit % 8)
+            variants.append(bytes(flipped))
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                reader(path)
+            except FormatError:
+                pass
 
     def test_events(self, tmp_path):
         p = tmp_path / "a.evt0"
@@ -233,6 +362,11 @@ class TestConfigText:
     )
     def test_bad_lines_name_line_and_key(self, text, message):
         with pytest.raises(FormatError, match=message):
+            config_from_text(text, SeeNetConfig)
+
+    @pytest.mark.parametrize("text", ["heads=0\n", "channels=0\n", "channels=15\n", "bayer='XYZW'\n", "epsilon=0\n"])
+    def test_values_the_config_rejects(self, text):
+        with pytest.raises(FormatError, match="config rejected"):
             config_from_text(text, SeeNetConfig)
 
     def test_int_serves_float_field(self):

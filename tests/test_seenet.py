@@ -483,6 +483,37 @@ class TestParameterCount:
         assert loop_names == {"loop_event", "loop_anchor"}
 
 
+# the EVCK checkpoint layout: parameter names in file order for the default config
+TOY_LAYOUT = """
+head_event_1.w head_event_1.b head_event_2.w head_event_2.b
+head_image_1.w head_image_1.b head_image_2.w head_image_2.b
+fuse.ln_q.gamma fuse.ln_q.beta fuse.ln_kv.gamma fuse.ln_kv.beta
+fuse.wq.w fuse.wq.b fuse.wk.w fuse.wk.b fuse.wv.w fuse.wv.b fuse.wo.w fuse.wo.b
+fuse.ln_ff.gamma fuse.ln_ff.beta fuse.ff1.w fuse.ff1.b fuse.ff2.w fuse.ff2.b
+loop_event.ln_q.gamma loop_event.ln_q.beta loop_event.ln_kv.gamma loop_event.ln_kv.beta
+loop_event.wq.w loop_event.wq.b loop_event.wk.w loop_event.wk.b
+loop_event.wv.w loop_event.wv.b loop_event.wo.w loop_event.wo.b
+loop_event.ln_ff.gamma loop_event.ln_ff.beta loop_event.ff1.w loop_event.ff1.b loop_event.ff2.w loop_event.ff2.b
+loop_anchor.ln_q.gamma loop_anchor.ln_q.beta loop_anchor.ln_kv.gamma loop_anchor.ln_kv.beta
+loop_anchor.wq.w loop_anchor.wq.b loop_anchor.wk.w loop_anchor.wk.b
+loop_anchor.wv.w loop_anchor.wv.b loop_anchor.wo.w loop_anchor.wo.b
+loop_anchor.ln_ff.gamma loop_anchor.ln_ff.beta loop_anchor.ff1.w loop_anchor.ff1.b loop_anchor.ff2.w loop_anchor.ff2.b
+prompt_in.w prompt_in.b prompt_out.w prompt_out.b
+decoder.0.w decoder.0.b decoder.1.w decoder.1.b decoder.2.w decoder.2.b decoder.3.w decoder.3.b decoder.4.w decoder.4.b
+""".split()
+
+
+class TestCheckpointLayout:
+    def test_toy_names_in_file_order(self, tmp_path):
+        params = init_params(SeeNetConfig())
+        assert [name for name, _ in params.named_tensors()] == TOY_LAYOUT
+        path = tmp_path / "toy.evck"
+        save_params(params, SeeNetConfig(), path)
+        from evseen.formats import load_checkpoint
+
+        assert list(load_checkpoint(path)[0]) == TOY_LAYOUT
+
+
 class TestEndToEndGradient:
     def test_small_config_gradients(self):
         from evseen.seenet import end_to_end_grad_errors
