@@ -3,8 +3,8 @@
 Keypoints (Harris corners with normalized-patch descriptors) are matched by
 exact nearest neighbor with a ratio test, an affine transform is fit by RANSAC,
 and the reported metric is the mean displacement that transform induces over
-every pixel center.  The detector is pluggable; only the descriptor contract
-(unit L2 norm, flat patches discarded) is fixed.
+every pixel center.  ``evaluate_alignment`` always uses ``detect_keypoints``;
+descriptors have unit L2 norm and flat patches are discarded.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Float64 throughout, no broadcasting except scalar-tensor, and exactly the
-primitive set the enhancement network needs.  Nodes are recorded with a global
-sequence number; the backward pass walks the reachable tape once in reverse
-creation order, which is always a valid topological order.  Inside ``no_grad()``
-nothing is recorded, so inference keeps no tape.
+Float64 throughout, numpy broadcasting between the operands of ``add``,
+``sub``, ``mul`` and ``div`` (a python scalar folds into the op; the backward
+pass sums each gradient back to its input's shape), and exactly the primitive
+set the enhancement network needs.  Nodes are recorded with a global sequence
+number; the backward pass walks the reachable tape once in reverse creation
+order, which is always a valid topological order.  A node points only at its
+inputs, never at its output, so a tape is freed as soon as its last output
+tensor is dropped.  Inside ``no_grad()`` nothing is recorded, so inference
+keeps no tape.
 """
 
 from __future__ import annotations
@@ -41,12 +45,11 @@ _RECORDING = True  # switched off by no_grad()
 
 
 class _Node:
-    __slots__ = ("inputs", "backward", "out", "seq")
+    __slots__ = ("inputs", "backward", "seq")
 
-    def __init__(self, inputs: tuple["Tensor", ...], backward: Callable, out: "Tensor") -> None:
+    def __init__(self, inputs: tuple["Tensor", ...], backward: Callable) -> None:
         self.inputs = inputs
         self.backward = backward
-        self.out = out
         self.seq = next(_SEQ)
 
 
@@ -87,26 +90,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into ``.grad`` of each leaf (no tape node) that requires it."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
-        tape = collect_tape(self)
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(tape.nodes):
-            g = grads.pop(id(node.out), None)
+        grads: dict[_Node, np.ndarray] = {}
+        _send(self, np.ones_like(self.data), grads)
+        for node in reversed(collect_tape(self).nodes):
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            if node.out.requires_grad:
-                node.out.grad = g if node.out.grad is None else node.out.grad + g
             for inp, piece in zip(node.inputs, node.backward(g)):
-                if piece is None or not _wants_grad(inp):
-                    continue
-                acc = grads.get(id(inp))
-                grads[id(inp)] = piece if acc is None else acc + piece
-        leaves = [self] + [inp for node in tape.nodes for inp in node.inputs]
-        for t in leaves:
-            if t.requires_grad and id(t) in grads:
-                g = grads.pop(id(t))
-                t.grad = g if t.grad is None else t.grad + g
+                if piece is not None:
+                    _send(inp, piece, grads)
 
     # operator sugar; scalars fold into the tensor op
     def __add__(self, other):
@@ -151,12 +146,23 @@ def collect_tape(root: Tensor) -> Tape:
     return Tape(nodes)
 
 
-def _wants_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._node is not None
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum the gradient of a broadcast result back down to an operand's ``shape``."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    kept = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=kept, keepdims=True) if kept else g
 
 
-def _track(inputs: Sequence[Tensor]) -> bool:
-    return any(_wants_grad(t) for t in inputs)
+def _send(t: Tensor, g: np.ndarray, grads: dict) -> None:
+    """Sum ``g`` down to the shape of ``t``; add it to the node's entry, or to a leaf's ``.grad``."""
+    g = _unbroadcast(g, t.shape)
+    if t._node is not None:
+        acc = grads.get(t._node)
+        grads[t._node] = g if acc is None else acc + g
+    elif t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 @contextlib.contextmanager
@@ -176,32 +182,21 @@ def no_grad():
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor(data)
-    if _RECORDING and _track(inputs):
-        out._node = _Node(inputs, backward, out)
+    if _RECORDING and any(t.requires_grad or t._node is not None for t in inputs):
+        out._node = _Node(inputs, backward)
     return out
 
 
-def _as_pair(a: Tensor, other) -> tuple[Tensor, float | None]:
-    """Return (tensor, scalar) when ``other`` is a python scalar, else validate shapes."""
-    if isinstance(other, Tensor):
-        if a.shape != other.shape:
-            raise ValueError(f"shape mismatch {a.shape} vs {other.shape}")
-        return other, None
-    return a, float(other)
-
-
 def add(a: Tensor, b) -> Tensor:
-    b_t, scalar = _as_pair(a, b)
-    if scalar is not None:
-        return _make(a.data + scalar, (a,), lambda g: (g,))
-    return _make(a.data + b_t.data, (a, b_t), lambda g: (g, g))
+    if not isinstance(b, Tensor):
+        return _make(a.data + float(b), (a,), lambda g: (g,))
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b_t, scalar = _as_pair(a, b)
-    if scalar is not None:
-        return _make(a.data - scalar, (a,), lambda g: (g,))
-    return _make(a.data - b_t.data, (a, b_t), lambda g: (g, -g))
+    if not isinstance(b, Tensor):
+        return _make(a.data - float(b), (a,), lambda g: (g,))
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -209,24 +204,24 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b_t, scalar = _as_pair(a, b)
-    if scalar is not None:
+    if not isinstance(b, Tensor):
+        scalar = float(b)
         return _make(a.data * scalar, (a,), lambda g: (g * scalar,))
-    return _make(a.data * b_t.data, (a, b_t), lambda g: (g * b_t.data, g * a.data))
+    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def div(a: Tensor, b) -> Tensor:
-    b_t, scalar = _as_pair(a, b)
-    if scalar is not None:
+    if not isinstance(b, Tensor):
+        scalar = float(b)
         if scalar == 0.0:
             raise ZeroDivisionError("division by zero scalar")
         return _make(a.data / scalar, (a,), lambda g: (g / scalar,))
-    if np.any(b_t.data == 0.0):
+    if np.any(b.data == 0.0):
         raise ZeroDivisionError("division by zero element")
     return _make(
-        a.data / b_t.data,
-        (a, b_t),
-        lambda g: (g / b_t.data, -g * a.data / (b_t.data * b_t.data)),
+        a.data / b.data,
+        (a, b),
+        lambda g: (g / b.data, -g * a.data / (b.data * b.data)),
     )
 
 
@@ -290,9 +285,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
@@ -301,13 +296,11 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _make(s, (a,), backward)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward(g):
-        return (np.full(a.shape, float(g) / n),)
-
-    return _make(np.asarray(a.data.mean()), (a,), backward)
+def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    """Mean of every element, or along ``axis`` kept as a length-1 dim."""
+    out = np.asarray(a.data.mean(axis=axis, keepdims=axis is not None))
+    n = a.data.size // out.size
+    return _make(out, (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
 def absolute(a: Tensor) -> Tensor:

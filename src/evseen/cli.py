@@ -139,7 +139,7 @@ def _cmd_pair(ns: argparse.Namespace) -> int:
         (out_dir / "scene.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     elif ns.manifest is not None:
         inputs.append(Path(ns.manifest))
-        recordings = _load_scene_manifest(Path(ns.manifest))
+        recordings = formats.read_scene_manifest(ns.manifest)
     else:
         raise ValueError("pair requires either --synth-seed or --manifest")
     pair_set = pairing.enumerate_pairs(recordings)
@@ -149,25 +149,6 @@ def _cmd_pair(ns: argparse.Namespace) -> int:
     _manifest(out_dir, "pair", vars(ns), inputs, [pairs_path])
     print(f"pairs={len(pair_set)}")
     return 0
-
-
-def _load_scene_manifest(path: Path) -> list[pairing.SceneRecording]:
-    recordings = []
-    base = path.parent
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").strip().split("\n"), start=1):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise formats.FormatError(f"malformed scene manifest row at line {lineno}")
-        scene_id, lighting, frames_path, events_path, scale = parts
-        frame_files = sorted((base / frames_path).glob("frame_*.ppm"))
-        frames = [formats.read_ppm(p) for p in frame_files]
-        if not frames:
-            raise formats.FormatError(f"no frames under {base / frames_path}")
-        events = formats.read_events(base / events_path)
-        recordings.append(
-            pairing.SceneRecording(scene_id, lighting, frames, events, float(scale))
-        )
-    return recordings
 
 
 def _training_scene(seed: int) -> list[pairing.SceneRecording]:

@@ -18,6 +18,7 @@ import numpy as np
 from .events import EventStream
 from .imaging import RawImage, RgbImage
 from .imu import ImuSequence
+from .pairing import LIGHTING_CLASSES, SceneRecording
 
 __all__ = [
     "FormatError",
@@ -36,6 +37,7 @@ __all__ = [
     "write_imu_csv",
     "read_imu_csv",
     "registration_line",
+    "read_scene_manifest",
     "save_checkpoint",
     "load_checkpoint",
     "config_to_text",
@@ -272,12 +274,52 @@ def read_imu_csv(path: str | Path) -> ImuSequence:
         # write_imu_csv rounds each timestamp to the microsecond, so steps may differ by one
         if step <= 0 or abs(step - steps[0]) > 1:
             raise FormatError(f"IMU CSV timestamp at line {lineno} is {step} us after the last, not {steps[0]}")
-    rate = 1_000_000 / steps[0] if steps else 1000.0
-    return ImuSequence(np.array(rows), rate, times[0])
+    return ImuSequence(np.array(rows), _imu_rate(times) if steps else 1000.0, times[0])
+
+
+def _imu_rate(times: list[int]) -> float:
+    """The mean step's rate, rounded to the fewest decimals whose period gives back
+    every timestamp as ``write_imu_csv`` rounds it (or unrounded if none does)."""
+    offsets = np.array(times) - times[0]
+    mean_rate = 1_000_000 * (len(times) - 1) / offsets[-1]
+    for digits in range(10):
+        rate = round(mean_rate, digits)
+        if rate > 0 and np.array_equal(np.round(np.arange(len(times)) * (1_000_000 / rate)), offsets):
+            return rate
+    return mean_rate
 
 
 def registration_line(reg) -> str:
     return f"{reg.bias_samples},{reg.bias_us},{reg.length},{reg.score!r}"
+
+
+# --------------------------------------------------------------------------- scene manifest
+
+
+def read_scene_manifest(path: str | Path) -> list[SceneRecording]:
+    """Rows ``scene_id,lighting_class,frames_dir,events_file,exposure_scale``; the
+    frames (``frame_*.ppm``) and the EVT0 file are found relative to the manifest."""
+    path = Path(path)
+    recordings = []
+    for lineno, line in enumerate(_utf8(path.read_bytes(), 0, f"scene manifest {path}").strip().split("\n"), start=1):
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise FormatError(f"malformed scene manifest row at line {lineno}")
+        scene_id, lighting, frames_path, events_path, scale = parts
+        if lighting not in LIGHTING_CLASSES:
+            raise FormatError(f"scene manifest line {lineno}: lighting class {lighting!r} is not one of {LIGHTING_CLASSES}")
+        try:
+            exposure = float(scale)
+            frames = [read_ppm(p) for p in sorted((path.parent / frames_path).glob("frame_*.ppm"))]
+            events = read_events(path.parent / events_path)
+        except (OSError, ValueError) as exc:  # not a number, a missing file, or a NUL byte in a name
+            raise FormatError(f"scene manifest line {lineno}: {exc}") from exc
+        if not (math.isfinite(exposure) and exposure > 0):
+            raise FormatError(f"scene manifest line {lineno}: exposure scale {scale!r} is not a positive number")
+        if not frames:
+            raise FormatError(f"scene manifest line {lineno}: no frames under {path.parent / frames_path}")
+        recordings.append(SceneRecording(scene_id, lighting, frames, events, exposure))
+    return recordings
 
 
 # --------------------------------------------------------------------------- checkpoints

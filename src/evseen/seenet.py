@@ -206,44 +206,28 @@ def init_params(config: SeeNetConfig) -> SeeNetParams:
 # functional pieces on (sequence, channels) tensors
 
 
-def _row_broadcast(vec: Tensor, rows: int) -> Tensor:
-    """Tile a (C,) vector to (rows, C) through an outer product so gradients flow."""
-    ones = Tensor(np.ones((rows, 1)))
-    return ad.matmul(ones, ad.reshape(vec, (1, vec.size)))
-
-
 def _linear(x: Tensor, p: LinearParams) -> Tensor:
-    return ad.matmul(x, p.w) + _row_broadcast(p.b, x.shape[0])
+    return ad.matmul(x, p.w) + p.b
 
 
 def _layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    c = x.shape[1]
-    j = Tensor(np.full((c, c), 1.0 / c))  # row-mean replicated across the row
-    m = ad.matmul(x, j)
-    centered = x - m
-    var = ad.matmul(centered * centered, j)
-    normed = centered / ad.sqrt(var + LAYER_NORM_EPS)
-    rows = x.shape[0]
-    return normed * _row_broadcast(p.gamma, rows) + _row_broadcast(p.beta, rows)
+    centered = x - ad.mean(x, axis=1)
+    var = ad.mean(centered * centered, axis=1)
+    return centered / ad.sqrt(var + LAYER_NORM_EPS) * p.gamma + p.beta
 
 
 def attention_mix(query_flat: Tensor, kv_flat: Tensor, block: AttentionBlockParams, heads: int) -> Tensor:
     """Multi-head softmax mixing term before the output projection."""
     qn = _layer_norm(query_flat, block.ln_q)
     kn = _layer_norm(kv_flat, block.ln_kv)
-    q = _linear(qn, block.wq)
+    d = query_flat.shape[1] // heads
+    q = _linear(qn, block.wq) * (1.0 / math.sqrt(d))  # the logits' 1/sqrt(d), folded into q
     k = _linear(kn, block.wk)
     v = _linear(kn, block.wv)
-    c = q.shape[1]
-    d = c // heads
-    scale = 1.0 / math.sqrt(d)
     mixed = []
     for h in range(heads):
-        qh = ad.slice_axis(q, 1, h * d, (h + 1) * d)
-        kh = ad.slice_axis(k, 1, h * d, (h + 1) * d)
-        vh = ad.slice_axis(v, 1, h * d, (h + 1) * d)
-        logits = ad.matmul(qh, ad.transpose2(kh)) * scale
-        weights = ad.softmax_lastdim(logits)
+        qh, kh, vh = (ad.slice_axis(t, 1, h * d, (h + 1) * d) for t in (q, k, v))
+        weights = ad.softmax_lastdim(ad.matmul(qh, ad.transpose2(kh)))
         mixed.append(ad.matmul(weights, vh))
     return ad.concat_lastdim(mixed)
 
@@ -331,13 +315,10 @@ def _decode_tensor(
     if b_vec.size != c:
         raise ValueError("prompt embedding width does not match the feature channels")
     x = ad.reshape(blr.tensor, (h * w, c))
-    b_rows = _row_broadcast(b_vec, h * w)
-    for layer in params.decoder[:-1]:
-        merged = x * b_rows if config.prompt_merge == "multiply" else x + b_rows
-        x = ad.relu(_linear(merged, layer))
-    merged = x * b_rows if config.prompt_merge == "multiply" else x + b_rows
-    out = ad.sigmoid(_linear(merged, params.decoder[-1]))
-    return ad.reshape(out, (h, w, 3))
+    for i, layer in enumerate(params.decoder):
+        x = _linear(x * b_vec if config.prompt_merge == "multiply" else x + b_vec, layer)
+        x = ad.sigmoid(x) if i == len(params.decoder) - 1 else ad.relu(x)
+    return ad.reshape(x, (h, w, 3))
 
 
 def decode(blr: BlrFeature, b_vec: Tensor, config: SeeNetConfig, params: SeeNetParams) -> RgbImage:

@@ -245,11 +245,15 @@ def test_criterion_6_gradient_suite():
                 * w
             ),
         ]
+        big = Tensor(rng.normal(size=(3,) + shape))  # t broadcast as a row over a new leading axis
+        checks.append(lambda t: ad.mean((t + big) * big - t * big / (t * t + 1.0)))
         if len(shape) == 2:
             m = Tensor(rng.normal(size=(shape[1], 3)))
             checks.append(lambda t: ad.mean(ad.matmul(t, m)))
             wt = Tensor(rng.normal(size=(shape[1], shape[0])))
             checks.append(lambda t: ad.mean(ad.transpose2(t) * wt))
+            # (N, 1) row means broadcast back over (N, C), as layer norm uses them
+            checks.append(lambda t: ad.mean((t - ad.mean(t, axis=1)) / ad.sqrt(ad.mean(t * t, axis=1) + 0.1) * w))
         for f in checks:
             worst_prim = max(worst_prim, max_grad_error(f, x, h=1e-5))
 

@@ -31,6 +31,22 @@ class TestForward:
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_broadcast_values_and_gradient_shapes(self):
+        x = rand((4, 3), 30)
+        row = rand((3,), 31)
+        col = rand((4, 1), 32)
+        out = x * row + col
+        assert np.array_equal(out.data, x.data * row.data + col.data)
+        ad.mean(out).backward()
+        assert row.grad.shape == (3,) and col.grad.shape == (4, 1)
+        assert np.allclose(row.grad, x.data.sum(axis=0) / 12.0)
+        assert np.allclose(col.grad, 1.0 / 4.0)
+
+    def test_mean_along_axis_keeps_the_dim(self):
+        x = rand((4, 3), 33)
+        assert np.array_equal(ad.mean(x, axis=1).data, x.data.mean(axis=1, keepdims=True))
+        assert ad.mean(x, axis=0).shape == (1, 3)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             Tensor(np.ones(3)) / Tensor(np.array([1.0, 0.0, 2.0]))
@@ -88,11 +104,22 @@ class TestGradCheck:
                 ),
                 "scalar": lambda t: ad.mean(t * 3.0 + 1.5),
             }
+            # t broadcast along a new leading axis: a (C,) row over (3, C) for 1-d shapes
+            big = Tensor(rng.normal(size=(3,) + shape))
+            cases["bcast_add"] = lambda t: ad.mean((t + big) * big)
+            cases["bcast_sub"] = lambda t: ad.mean((big - t) * big)
+            cases["bcast_mul"] = lambda t: ad.mean(big * t * big)
+            cases["bcast_div"] = lambda t: ad.mean(big / (t * t + 1.0) + t / (ad.absolute(big) + 1.0))
             if len(shape) == 2:
                 m = Tensor(rng.normal(size=(shape[1], 3)))
                 cases["matmul"] = lambda t: ad.mean(ad.matmul(t, m))
                 wt = Tensor(rng.normal(size=(shape[1], shape[0])))
                 cases["transpose"] = lambda t: ad.mean(ad.transpose2(t) * wt)
+                cases["mean_axis"] = lambda t: ad.mean(ad.mean(t, axis=1) * ad.mean(w, axis=1) + ad.mean(t, axis=0))
+                # (N, 1) columns derived from t, broadcast back over (N, C): a layer norm
+                cases["column"] = lambda t: ad.mean(
+                    (t - ad.mean(t, axis=1)) / ad.sqrt(ad.mean(t * t, axis=1) + 0.1) * w
+                )
             for name, f in cases.items():
                 err = max_grad_error(f, x, h=1e-5)
                 assert err < 1e-4, f"{name} on shape {shape}: err {err}"
@@ -108,6 +135,14 @@ class TestGradCheck:
         y = x * 2.0 + x * 3.0
         ad.mean(y).backward()
         assert np.allclose(x.grad, 5.0 / 2.0)
+
+    def test_only_leaves_receive_grad(self):
+        x = rand((3,), 34)
+        y = x * 2.0
+        y.requires_grad = True
+        ad.mean(y * y).backward()
+        assert y.grad is None
+        assert np.allclose(x.grad, 8.0 * x.data / 3.0)
 
     def test_non_scalar_rejected(self):
         with pytest.raises(ValueError):
@@ -154,6 +189,9 @@ class TestNoGrad:
         "concat_slice": lambda a, b: ad.concat_lastdim([ad.slice_axis(a, 1, 0, 2), ad.slice_axis(b, 1, 2, 4)]),
         "reshape": lambda a, b: ad.reshape(a, (a.size,)),
         "mean": lambda a, b: ad.mean(-a),
+        "row_broadcast": lambda a, b: a * ad.reshape(ad.mean(b, axis=0), (b.shape[1],)) + ad.reshape(ad.mean(a, axis=0), (a.shape[1],)),
+        "column_broadcast": lambda a, b: a / (ad.mean(b * b, axis=1) + 1.0) - ad.mean(a, axis=1),
+        "mean_axis": lambda a, b: ad.mean(a, axis=1),
     }
 
     def test_records_no_node_and_same_values(self):

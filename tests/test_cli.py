@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ def run_cli(*args):
         [sys.executable, "-m", "evseen", *map(str, args)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},  # the package as this process imports it
     )
     return proc
 
@@ -227,6 +229,26 @@ class TestPairCli:
         assert code == 0
         assert "pairs=9" in capsys.readouterr().out
         assert (out / "pairs.csv").read_text() == (again / "pairs.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.replace(b",0.25\n", b",x0.125\n", 1), "line 1: could not convert string to float: 'x0.125'"),
+            (lambda raw: raw.replace(b",low,", b",dusk,", 1), "line 1: lighting class 'dusk'"),
+            (lambda raw: raw + b"\xff", "not UTF-8 at byte"),
+        ],
+        ids=["scale", "lighting", "non_utf8"],
+    )
+    def test_malformed_manifest_exits_3(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "scene"
+        assert main(["pair", "--synth-seed", "5", "--scales", "0.25,0.75,1.0,1.25", "--out", str(out)]) == 0
+        manifest = out / "scene.txt"
+        edited = edit(manifest.read_bytes())
+        assert edited != manifest.read_bytes()
+        manifest.write_bytes(edited)
+        capsys.readouterr()
+        assert main(["pair", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestTrainEnhance:

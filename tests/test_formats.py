@@ -16,6 +16,7 @@ from evseen.formats import (
     read_imu_csv,
     read_pgm,
     read_ppm,
+    read_scene_manifest,
     registration_line,
     save_checkpoint,
     write_events,
@@ -199,7 +200,18 @@ class TestImu:
         # 300 Hz: rounded timestamps step by 3333 or 3334 us
         p = tmp_path / "a.csv"
         write_imu_csv(ImuSequence(np.zeros((10, 6)), 300.0), p)
-        assert read_imu_csv(p).rate_hz == 1_000_000 / 3333
+        assert read_imu_csv(p).rate_hz == 300.0
+
+    @pytest.mark.parametrize("rate", [300.0, 1000.0, 333.0, 120.0])
+    def test_round_trip_bytes_at_every_length(self, tmp_path, rate):
+        # the mean step alone is off the true period unless (n - 1) * period is whole
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        for n in range(2, 40):
+            write_imu_csv(ImuSequence(np.zeros((n, 6)), rate, 7), p1)
+            back = read_imu_csv(p1)
+            assert back.rate_hz == rate, n
+            write_imu_csv(back, p2)
+            assert p1.read_bytes() == p2.read_bytes(), n
 
     @pytest.mark.parametrize(
         "times, line",
@@ -270,6 +282,14 @@ def _write_checkpoint(path):
     save_params(init_params(cfg), cfg, path)
 
 
+def _write_scene_manifest(path):
+    for i, name in enumerate(("r0", "r1")):
+        (path.parent / name).mkdir(exist_ok=True)
+        write_ppm(RgbImage(np.random.default_rng(i).uniform(0, 1, (2, 3, 3))), path.parent / name / "frame_000.ppm")
+        write_events(sample_stream(i, n=2), path.parent / name / "events.evt0")
+    path.write_text("s,low,r0,r0/events.evt0,0.25\ns,normal,r1,r1/events.evt0,1.0\n")
+
+
 # (file name, writer of one valid file, reader) for every reader of the program
 READERS = [
     ("a.evt0", lambda p: write_events(sample_stream(n=12), p), read_events),
@@ -281,6 +301,7 @@ READERS = [
     ("e.csv", lambda p: write_events_csv(sample_stream(n=12), p), lambda p: read_events_csv(p, 32, 24)),
     ("i.csv", _write_imu, read_imu_csv),
     ("c.txt", lambda p: p.write_text(config_to_text(SeeNetConfig())), lambda p: read_config(p, SeeNetConfig)),
+    ("scene.txt", _write_scene_manifest, read_scene_manifest),
 ]
 
 
@@ -346,6 +367,43 @@ class TestTruncation:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="byte 8"):
             load_checkpoint(p)
+
+
+class TestSceneManifest:
+    def test_reads_recordings(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        _write_scene_manifest(path)
+        low, normal = read_scene_manifest(path)
+        assert (low.lighting_class, low.exposure_scale, normal.exposure_scale) == ("low", 0.25, 1.0)
+        assert np.array_equal(low.frames[0].values, read_ppm(tmp_path / "r0" / "frame_000.ppm").values)
+        assert np.array_equal(normal.events.ts, read_events(tmp_path / "r1" / "events.evt0").ts)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("s,low,r0,r0/events.evt0", "malformed scene manifest row at line 2"),
+            ("s,dusk,r0,r0/events.evt0,0.25", "line 2: lighting class 'dusk'"),
+            ("s,low,r0,r0/events.evt0,x0.125", "line 2: .*'x0.125'"),
+            ("s,low,r0,r0/events.evt0,nan", "line 2: exposure scale 'nan'"),
+            ("s,low,r0,r0/events.evt0,0", "line 2: exposure scale '0'"),
+            ("s,low,r9,r0/events.evt0,0.25", "line 2: no frames under"),
+            ("s,low,r0,r0/missing.evt0,0.25", "line 2: .*missing.evt0"),
+        ],
+    )
+    def test_bad_row_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "scene.txt"
+        _write_scene_manifest(path)
+        path.write_text(path.read_text().split("\n")[0] + "\n" + line + "\n")
+        with pytest.raises(FormatError, match=message):
+            read_scene_manifest(path)
+
+    def test_non_utf8_names_the_byte(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        _write_scene_manifest(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\xff")
+        with pytest.raises(FormatError, match=f"not UTF-8 at byte {len(raw)}"):
+            read_scene_manifest(path)
 
 
 class TestConfigText:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,6 +377,43 @@ class TestForwardPrompts:
         with pytest.raises(ValueError):
             forward_prompts(img, grid, [0.5, 1.5], CFG, params, pos)
         assert calls == []
+
+
+class TestTape:
+    def test_train_step_freed_by_reference_counting(self, monkeypatch):
+        """With the cyclic collector off, dropping a step's loss frees its tape:
+        every attention-weights array dies with it."""
+        weights = []
+        softmax = ad.softmax_lastdim
+
+        def recording(a):
+            out = softmax(a)
+            weights.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ad, "softmax_lastdim", recording)
+        params = init_params(CFG)
+        img, grid, pos = toy_inputs(17)
+        target = np.random.default_rng(17).uniform(0, 1, img.values.shape)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            step_loss = seenet._loss_tensor(_forward_tensor(img, grid, 0.5, CFG, params, pos), target, 1.0, 0.5, 1e-3)
+            step_loss.backward()
+            alive_after_backward = sum(w() is not None for w in weights)
+            del step_loss
+            alive_after_drop = sum(w() is not None for w in weights)
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive_after_backward == len(weights) == CFG.heads * (1 + 2 * CFG.loop_count)
+        assert alive_after_drop == 0
+
+    def test_toy_forward_records_under_600_nodes(self):
+        cfg = SeeNetConfig()
+        img, grid, pos = toy_inputs(18, h=16, w=16, cfg=cfg)
+        pred = _forward_tensor(img, grid, 0.5, cfg, init_params(cfg), pos)
+        assert len(ad.collect_tape(pred).nodes) < 600
 
 
 class TestTraining:
