@@ -8,6 +8,7 @@ and produced files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -126,17 +127,7 @@ def _cmd_pair(ns: argparse.Namespace) -> int:
     if ns.synth_seed is not None:
         scales = tuple(float(s) for s in ns.scales.split(","))
         recordings = pairing.synth_scene(ns.synth_seed, scales)
-        manifest_lines = []
-        for idx, rec in enumerate(recordings):
-            rec_dir = out_dir / f"rec{idx:02d}"
-            rec_dir.mkdir(exist_ok=True)
-            for k, frame in enumerate(rec.frames):
-                formats.write_ppm(frame, rec_dir / f"frame_{k:04d}.ppm")
-            formats.write_events(rec.events, rec_dir / "events.evt0")
-            manifest_lines.append(
-                f"{rec.scene_id},{rec.lighting_class},{rec_dir.name},{rec_dir.name}/events.evt0,{rec.exposure_scale!r}"
-            )
-        (out_dir / "scene.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+        formats.write_scene_manifest(recordings, out_dir / "scene.txt")
     elif ns.manifest is not None:
         inputs.append(Path(ns.manifest))
         recordings = formats.read_scene_manifest(ns.manifest)
@@ -182,8 +173,12 @@ def _parse_sweep(spec: str) -> list[float]:
         a, b, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise ValueError("sweep must be start:stop:step") from exc
-    if step <= 0 or b < a:
-        raise ValueError("sweep needs stop >= start and positive step")
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError("sweep start, stop and step must be finite")
+    if not 0 < a <= b < 1:
+        raise ValueError("sweep prompts need 0 < start <= stop < 1")
+    if step < 0.01:  # outputs are named by the prompt to two decimals
+        raise ValueError("sweep step must be at least 0.01")
     values = []
     v = a
     while v <= b + 1e-9:

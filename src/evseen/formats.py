@@ -37,6 +37,7 @@ __all__ = [
     "write_imu_csv",
     "read_imu_csv",
     "registration_line",
+    "write_scene_manifest",
     "read_scene_manifest",
     "save_checkpoint",
     "load_checkpoint",
@@ -278,14 +279,24 @@ def read_imu_csv(path: str | Path) -> ImuSequence:
 
 
 def _imu_rate(times: list[int]) -> float:
-    """The mean step's rate, rounded to the fewest decimals whose period gives back
-    every timestamp as ``write_imu_csv`` rounds it (or unrounded if none does)."""
+    """The rate with the fewest decimals whose period gives back every timestamp
+    as ``write_imu_csv`` rounds it (the mean step's rate if none does)."""
     offsets = np.array(times) - times[0]
+    rows = np.arange(1, len(times))
+    # round(i * period) == offsets[i] holds for periods in [(offsets[i] - 0.5) / i, (offsets[i] + 0.5) / i]
+    low = 1_000_000 / np.min((offsets[1:] + 0.5) / rows)
+    high = 1_000_000 / np.max((offsets[1:] - 0.5) / rows)
     mean_rate = 1_000_000 * (len(times) - 1) / offsets[-1]
     for digits in range(10):
-        rate = round(mean_rate, digits)
-        if rate > 0 and np.array_equal(np.round(np.arange(len(times)) * (1_000_000 / rate)), offsets):
-            return rate
+        scale = 10**digits
+        lo, hi = math.ceil(low * scale), math.floor(high * scale)
+        nearest = min(max(round(mean_rate * scale), lo), hi)
+        # at an end of [low, high] some timestamp falls on a half microsecond, which
+        # round-half-even may not give back, so the other end is tried as well
+        for rate in (k / scale for k in (nearest, lo, hi) if lo <= k <= hi):
+            # the period as write_imu_csv computes it from the rate
+            if np.array_equal(np.round(np.arange(len(times)) * (1_000_000 / rate)), offsets):
+                return rate
     return mean_rate
 
 
@@ -294,6 +305,21 @@ def registration_line(reg) -> str:
 
 
 # --------------------------------------------------------------------------- scene manifest
+
+
+def write_scene_manifest(recordings: list[SceneRecording], path: str | Path) -> None:
+    """The manifest at ``path``, and beside it one ``recNN`` directory per recording
+    holding its frames as ``frame_KKKK.ppm`` and its events as ``events.evt0``."""
+    path = Path(path)
+    rows = []
+    for idx, rec in enumerate(recordings):
+        rec_dir = path.parent / f"rec{idx:02d}"
+        rec_dir.mkdir(exist_ok=True)
+        for k, frame in enumerate(rec.frames):
+            write_ppm(frame, rec_dir / f"frame_{k:04d}.ppm")
+        write_events(rec.events, rec_dir / "events.evt0")
+        rows.append(f"{rec.scene_id},{rec.lighting_class},{rec_dir.name},{rec_dir.name}/events.evt0,{rec.exposure_scale!r}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def read_scene_manifest(path: str | Path) -> list[SceneRecording]:

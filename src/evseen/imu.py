@@ -4,8 +4,9 @@ Two 1000 Hz sequences recorded along the same trajectory differ by an unknown
 constant offset.  The recovery pipeline is: per-channel constant-velocity Kalman
 denoising, a 3-level average-pooling pyramid, then a coarse-to-fine search for
 the bias b and matching length l minimizing the mean per-sample L1 distance over
-the aligned overlap.  ``register_exhaustive`` provides the brute-force reference
-used to validate the hierarchy.
+the aligned overlap.  ``register_exhaustive`` runs the same search on a
+one-level pyramid, the full-resolution sequences, which scans every admissible
+bias and length; it is the brute-force reference used to validate the hierarchy.
 
 Bias convention: ``b`` is the offset of the target relative to the source, i.e.
 source[i] aligns with target[i + b].  Prepending samples to the target increases
@@ -155,22 +156,9 @@ def match_score(s: np.ndarray, t: np.ndarray, b: int, l: int) -> float:
     return float(np.mean(np.abs(s[start_s : start_s + l] - t[start_t : start_t + l])))
 
 
-class _EvalCounter:
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
-def _bias_candidates(ns: int, nt: int, l_min: int) -> range:
-    # admissible biases leave an overlap of at least l_min
-    return range(-(nt - l_min), ns - l_min + 1)
-
-
-def _scan_bias(
-    s: np.ndarray, t: np.ndarray, b: int, l_min: int, counter: _EvalCounter
-) -> tuple[float, int] | None:
-    """Best (score, length) for one bias over every admissible length.
+def _scan_bias(s: np.ndarray, t: np.ndarray, b: int, l_min: int) -> tuple[float, int, int]:
+    """Best (score, length) for one admissible bias over every admissible length,
+    plus the number of lengths scanned.
 
     Cumulative sums over the channel-summed absolute difference yield the score
     of every window length in one pass; ties prefer the larger length.
@@ -178,41 +166,70 @@ def _scan_bias(
     start_t = max(0, b)
     start_s = start_t - b
     overlap = min(s.shape[0] - start_s, t.shape[0] - start_t)
-    if overlap < l_min:
-        return None
     diff = np.abs(s[start_s : start_s + overlap] - t[start_t : start_t + overlap]).sum(axis=1)
     csum = np.cumsum(diff)
     lengths = np.arange(l_min, overlap + 1)
     scores = csum[l_min - 1 :] / (CHANNELS * lengths)
-    counter.count += len(lengths)
     best = scores.min()
     best_l = int(lengths[scores == best].max())
-    return float(best), best_l
+    return float(best), best_l, len(lengths)
 
 
 def _search_biases(
-    s: np.ndarray,
-    t: np.ndarray,
-    biases: "range | list[int]",
-    l_min: int,
-    counter: _EvalCounter,
-) -> tuple[int, int, float] | None:
+    s: np.ndarray, t: np.ndarray, biases: range, l_min: int
+) -> tuple[int, int, float, int]:
+    """Best (bias, length, score) over ``biases``, plus the cells scanned.  Ties
+    break by (score, larger length, smaller |bias|, smaller bias)."""
     best_key = None
     best = None
+    scanned = 0
     for b in biases:
-        res = _scan_bias(s, t, b, l_min, counter)
-        if res is None:
-            continue
-        score, length = res
+        score, length, count = _scan_bias(s, t, b, l_min)
+        scanned += count
         key = (score, -length, abs(b), b)
         if best_key is None or key < best_key:
             best_key = key
             best = (b, length, score)
-    return best
+    return (*best, scanned)
 
 
-def _level_l_min(ns: int, nt: int, fraction: float) -> int:
-    return max(1, math.ceil(fraction * min(ns, nt)))
+def _coarse_to_fine(
+    s_levels: list[np.ndarray],
+    t_levels: list[np.ndarray],
+    pool_factor: int,
+    search_radius: int,
+    l_min_fraction: float,
+    rate_hz: float,
+) -> Registration:
+    """The (bias, length) search over pyramid levels given coarsest first, each
+    ``pool_factor`` times finer than the one before.
+
+    A bias is admissible when it leaves an overlap of at least ``l_min_fraction``
+    of the shorter sequence.  The first level scans every admissible bias; each
+    finer level scans the admissible biases within +/- search_radius * pool_factor
+    of the upscaled incumbent.  With search_radius >= 1 that window always meets
+    the admissible range, because each level is at least pool_factor times longer
+    than the one before.
+    """
+    bias = None
+    evaluations = 0
+    for s, t in zip(s_levels, t_levels):
+        ns, nt = s.shape[0], t.shape[0]
+        l_min = max(1, math.ceil(l_min_fraction * min(ns, nt)))
+        biases = range(-(ns - l_min), nt - l_min + 1)
+        if bias is not None:
+            center, radius = bias * pool_factor, search_radius * pool_factor
+            biases = range(max(center - radius, biases.start), min(center + radius + 1, biases.stop))
+        bias, length, score, scanned = _search_biases(s, t, biases, l_min)
+        evaluations += scanned
+    return Registration(bias, round(bias * 1_000_000 / rate_hz), length, score, evaluations)
+
+
+def _check_pair(source: ImuSequence, target: ImuSequence, l_min_fraction: float) -> None:
+    if not 0 < l_min_fraction <= 1:
+        raise ValueError("l_min_fraction must be in (0, 1]")
+    if source.rate_hz != target.rate_hz:
+        raise ValueError("source and target rates differ")
 
 
 def register(
@@ -231,63 +248,21 @@ def register(
     the final full-resolution pass.  Ties break deterministically by
     (score, larger length, smaller |bias|, smaller bias).
     """
-    if not 0 < l_min_fraction <= 1:
-        raise ValueError("l_min_fraction must be in (0, 1]")
+    _check_pair(source, target, l_min_fraction)
     if search_radius < 1:
         raise ValueError("search_radius must be >= 1")
-    if source.rate_hz != target.rate_hz:
-        raise ValueError("source and target rates differ")
-    s_levels = build_pyramid(source, pool_factor)
-    t_levels = build_pyramid(target, pool_factor)
-    counter = _EvalCounter()
-
-    s2, t2 = s_levels[2].data, t_levels[2].data
-    l2_min = _level_l_min(s2.shape[0], t2.shape[0], l_min_fraction)
-    coarse = _search_biases(s2, t2, _bias_candidates(s2.shape[0], t2.shape[0], l2_min), l2_min, counter)
-    if coarse is None:
-        raise ValueError("no admissible overlap at the coarse level")
-
-    incumbent_bias = coarse[0]
-    result = None
-    for level in (1, 0):
-        s_l, t_l = s_levels[level].data, t_levels[level].data
-        ns, nt = s_l.shape[0], t_l.shape[0]
-        l_min = _level_l_min(ns, nt, l_min_fraction)
-        center = incumbent_bias * pool_factor
-        radius = search_radius * pool_factor
-        admissible = _bias_candidates(ns, nt, l_min)
-        lo = max(center - radius, admissible.start)
-        hi = min(center + radius, admissible.stop - 1)
-        if lo > hi:
-            raise ValueError("local search window has no admissible overlap")
-        found = _search_biases(s_l, t_l, range(lo, hi + 1), l_min, counter)
-        if found is None:
-            raise ValueError("no admissible overlap in the local search window")
-        incumbent_bias = found[0]
-        result = found
-
-    bias, length, score = result
-    bias_us = round(bias * 1_000_000 / source.rate_hz)
-    return Registration(bias, bias_us, length, score, counter.count)
+    s_levels = [level.data for level in reversed(build_pyramid(source, pool_factor))]
+    t_levels = [level.data for level in reversed(build_pyramid(target, pool_factor))]
+    return _coarse_to_fine(s_levels, t_levels, pool_factor, search_radius, l_min_fraction, source.rate_hz)
 
 
 def register_exhaustive(
     source: ImuSequence, target: ImuSequence, l_min_fraction: float = 0.5
 ) -> Registration:
-    """Full level-0 scan over every admissible bias and length; the reference
-    the hierarchical search is checked against.  It shares ``register``'s
-    per-bias scan, which ``tests/test_imu.py`` checks against a two-loop score."""
-    if not 0 < l_min_fraction <= 1:
-        raise ValueError("l_min_fraction must be in (0, 1]")
-    if source.rate_hz != target.rate_hz:
-        raise ValueError("source and target rates differ")
-    s, t = source.samples, target.samples
-    ns, nt = s.shape[0], t.shape[0]
-    l_min = _level_l_min(ns, nt, l_min_fraction)
-    counter = _EvalCounter()
-    best = _search_biases(s, t, _bias_candidates(ns, nt, l_min), l_min, counter)
-    if best is None:
-        raise ValueError("no admissible overlap")
-    bias, length, score = best
-    bias_us = round(bias * 1_000_000 / source.rate_hz)
-    return Registration(bias, bias_us, length, score, counter.count)
+    """Full level-0 scan over every admissible bias and length: ``register``'s
+    search on a one-level pyramid, the reference the hierarchy is checked
+    against.  ``tests/test_imu.py`` checks the shared per-bias scan against a
+    two-loop score."""
+    _check_pair(source, target, l_min_fraction)
+    # pool factor and radius only act between levels, so a one-level search ignores them
+    return _coarse_to_fine([source.samples], [target.samples], 1, 0, l_min_fraction, source.rate_hz)

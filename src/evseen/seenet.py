@@ -435,6 +435,8 @@ def train_toy(
     ``dataset`` is a PairSet or list of PairSets; the prompt for each step is the
     target frame's global brightness.  Deterministic given the config seed.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     pair_sets = dataset if isinstance(dataset, (list, tuple)) else [dataset]
     samples = []
     for ps in pair_sets:

@@ -13,12 +13,13 @@ from evseen.imaging import RgbImage
 from evseen.pairing import synth_scene
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "evseen", *map(str, args)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},  # the package as this process imports it
+        timeout=timeout,
     )
     return proc
 
@@ -444,6 +445,38 @@ class TestEnhanceBoundaries:
         cfg.write_bytes(text)
         assert main(["train-toy", "--steps", "1", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("0.3:inf:0.1", "finite"),
+            ("nan:1:0.1", "finite"),
+            ("0.3:0.7:nan", "finite"),
+            ("0:0.5:0.1", "0 < start <= stop < 1"),
+            ("0.5:1.2:0.1", "0 < start <= stop < 1"),
+            ("0.7:0.3:0.1", "0 < start <= stop < 1"),
+            ("0.3:0.7:-0.1", "at least 0.01"),
+            ("0.3:0.5:1e-20", "at least 0.01"),
+        ],
+    )
+    def test_bad_sweep_exits_2_and_writes_nothing(self, trained_dir, tmp_path, spec, message):
+        img_path, ev_path = enhance_files(tmp_path)
+        out = tmp_path / "out"
+        proc = run_cli(
+            "enhance", "--input", img_path, "--events", ev_path, "--checkpoint", trained_dir / "checkpoint.evck",
+            "--prompt-sweep", spec, "--out", out, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    def test_train_zero_steps_exits_2_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "t"
+        proc = run_cli("train-toy", "--steps", "0", "--out", out, timeout=60)
+        assert proc.returncode == 2
+        assert "steps must be >= 1" in proc.stderr
+        assert not out.exists()
 
 
 class TestGradCheckCli:

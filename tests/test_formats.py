@@ -25,9 +25,11 @@ from evseen.formats import (
     write_imu_csv,
     write_pgm,
     write_ppm,
+    write_scene_manifest,
 )
 from evseen.imaging import RawImage, RgbImage
 from evseen.imu import ImuSequence, Registration
+from evseen.pairing import synth_scene
 from evseen.seenet import SeeNetConfig, init_params, load_params, save_params
 
 
@@ -214,6 +216,19 @@ class TestImu:
             assert p1.read_bytes() == p2.read_bytes(), n
 
     @pytest.mark.parametrize(
+        "rate", [1234.5678, 300.0, 1000.0, 333.0, 700.0, 30.0, 299.7, 777.7777, 2048.0001, 999.99, 123.456789]
+    )
+    def test_round_trip_bytes_long_files(self, tmp_path, rate):
+        # a short file admits a shorter rate that rewrites the same timestamps; 10,000 rows pin the rate itself
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        for n in (2, 3, 7, 59, 1000, 10_000):
+            write_imu_csv(ImuSequence(np.zeros((n, 6)), rate, 7), p1)
+            back = read_imu_csv(p1)
+            write_imu_csv(back, p2)
+            assert p1.read_bytes() == p2.read_bytes(), n
+        assert back.rate_hz == rate
+
+    @pytest.mark.parametrize(
         "times, line",
         [((0, 0), 3), ((0, 1000, 0), 4), ((0, 1000, 2002), 4), ((0, 1000, 1998), 4), ((0, -1000), 3)],
     )
@@ -370,6 +385,17 @@ class TestTruncation:
 
 
 class TestSceneManifest:
+    def test_round_trip_bytes(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        write_scene_manifest(synth_scene(5, (0.125, 1.0), width=8, height=8, frames=3), tmp_path / "a" / "scene.txt")
+        write_scene_manifest(read_scene_manifest(tmp_path / "a" / "scene.txt"), tmp_path / "b" / "scene.txt")
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*") if p.is_file())
+        assert len(files) == 1 + 2 * (3 + 1)
+        assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
     def test_reads_recordings(self, tmp_path):
         path = tmp_path / "scene.txt"
         _write_scene_manifest(path)

@@ -227,3 +227,73 @@ class TestRegister:
             register(a, b, search_radius=0)
         with pytest.raises(ValueError):
             register(ImuSequence(np.zeros((100, 6))), b, pool_factor=32)
+
+    def test_unequal_lengths_exhaustive_matches_two_loop_argmin(self):
+        # the target is longer, and the best bias leaves the whole of the target's tail
+        rng = np.random.default_rng(11)
+        master = smooth_trajectory(rng, 200)
+        s = master[50:80] + rng.normal(0, 0.01, (30, 6))
+        t = master[20:70] + rng.normal(0, 0.01, (50, 6))
+        for a, b, want in [(s, t, 30), (t, s, -30)]:
+            ref = register_exhaustive(ImuSequence(a), ImuSequence(b), l_min_fraction=0.5)
+            l_min = 15
+            best = None
+            for bias in range(-(len(a) - l_min), len(b) - l_min + 1):
+                start_b = max(0, bias)
+                start_a = start_b - bias
+                overlap = min(len(a) - start_a, len(b) - start_b)
+                for l in range(l_min, overlap + 1):
+                    score = two_loop_score(a, b, bias, l)
+                    key = (score, -l, abs(bias), bias)
+                    if best is None or key < best[0]:
+                        best = (key, bias, l)
+            assert best[1] == want
+            assert (ref.bias_samples, ref.length) == (best[1], best[2])
+            assert ref.score == pytest.approx(best[0][0], abs=1e-9)
+
+    def test_unequal_lengths_known_shift(self):
+        rng = np.random.default_rng(6)
+        master = smooth_trajectory(rng, 6000)
+        source = ImuSequence(master[2500:4500] + rng.normal(0, 0.005, (2000, 6)))
+        target = ImuSequence(master[0:5000] + rng.normal(0, 0.005, (5000, 6)))
+        assert abs(register(source, target).bias_samples - 2500) <= 1
+        assert abs(register(target, source).bias_samples + 2500) <= 1
+
+
+# exact (bias_samples, bias_us, length, score, evaluations) on shifted_imu_pair(seed, n=2500),
+# keyed by (seed, pool, radius, l_min_fraction) and (seed, l_min_fraction)
+PINNED_REGISTER = {
+    (0, 32, 2, 0.5): (1250, 1250000, 1250, 0.3971506508143809, 3854),
+    (0, 16, 1, 0.3): (1403, 1403000, 776, 0.011102850239744395, 11833),
+    (0, 8, 3, 0.75): (250, 250000, 1875, 0.6639554856428836, 20925),
+    (1, 32, 2, 0.5): (-107, -107000, 2255, 0.01106139629931022, 150599),
+    (1, 16, 1, 0.3): (-107, -107000, 2255, 0.01106139629931022, 57494),
+    (1, 8, 3, 0.75): (-107, -107000, 2255, 0.01106139629931022, 28693),
+    (2, 32, 2, 0.5): (1250, 1250000, 1250, 0.33791835264642456, 3854),
+    (2, 16, 1, 0.3): (1351, 1351000, 1116, 0.01131905664180868, 14470),
+    (2, 8, 3, 0.75): (300, 300000, 2200, 0.5502283027757022, 18181),
+}
+PINNED_EXHAUSTIVE = {
+    (0, 0.5): (1250, 1250000, 1250, 0.3971506508143809, 1565001),
+    (0, 0.3): (1403, 1403000, 776, 0.011102850239744395, 3066001),
+    (1, 0.5): (-107, -107000, 2255, 0.01106139629931022, 1565001),
+    (2, 0.3): (1351, 1351000, 1116, 0.01131905664180868, 3066001),
+}
+
+
+def _fields(reg):
+    return (reg.bias_samples, reg.bias_us, reg.length, reg.score, reg.evaluations)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_register_pinned(seed):
+    source, target, _ = shifted_imu_pair(seed, n=2500)
+    for (s, pool, radius, fraction), want in PINNED_REGISTER.items():
+        if s == seed:
+            assert _fields(register(source, target, pool, radius, fraction)) == want
+
+
+@pytest.mark.parametrize("seed, fraction", sorted(PINNED_EXHAUSTIVE))
+def test_register_exhaustive_pinned(seed, fraction):
+    source, target, _ = shifted_imu_pair(seed, n=2500)
+    assert _fields(register_exhaustive(source, target, fraction)) == PINNED_EXHAUSTIVE[(seed, fraction)]
