@@ -165,18 +165,10 @@ def match_keypoints(
         (da * da).sum(axis=1)[:, None] + (db * db).sum(axis=1)[None, :] - 2.0 * da @ db.T, 0.0
     )
     dist = np.sqrt(d2)
-    matches = []
-    for i in range(len(a)):
-        row = dist[i]
-        j = int(row.argmin())
-        d1 = row[j]
-        if len(b) == 1:
-            d2nd = np.inf
-        else:
-            d2nd = np.partition(row, 1)[1]
-        if d1 < ratio * d2nd:
-            matches.append((i, j))
-    return matches
+    nearest = dist.argmin(axis=1)
+    # an inf column makes the second distance inf when b has one keypoint
+    two = np.partition(np.pad(dist, ((0, 0), (0, 1)), constant_values=np.inf), 1, axis=1)
+    return [(int(i), int(nearest[i])) for i in np.flatnonzero(two[:, 0] < ratio * two[:, 1])]
 
 
 def _solve_affine_3pt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:

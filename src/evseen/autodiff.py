@@ -24,7 +24,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "matmul",
-    "transpose2",
+    "attention",
     "reshape",
     "concat_lastdim",
     "slice_axis",
@@ -235,12 +235,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def transpose2(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose2 expects a 2-d tensor")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
@@ -284,16 +278,48 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def softmax_lastdim(a: Tensor) -> Tensor:
-    s = a.data - a.data.max(axis=-1, keepdims=True)
+def _softmax_(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place."""
+    s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _softmax_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return (g - (g * s).sum(axis=-1, keepdims=True)) * s
+
+
+def softmax_lastdim(a: Tensor) -> Tensor:
+    s = _softmax_(a.data.copy())
+    return _make(s, (a,), lambda g: (_softmax_backward(g, s),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """softmax(q_h k_h^T) v_h for each head's block of C / heads columns of the
+    (N, C) queries and (M, C) keys and values, as one tape node.  One head's
+    N x M probabilities exist at a time: the backward pass recomputes them."""
+    if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:] or heads < 1 or q.shape[1] % heads:
+        raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    d = q.shape[1] // heads
+    cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
+
+    def blocks(c: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return q.data[:, c].copy(), k.data[:, c].T.copy(), v.data[:, c].copy()
+
+    out = np.hstack([_softmax_(qh @ kh_t) @ vh for qh, kh_t, vh in map(blocks, cols)])
 
     def backward(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return ((g - inner) * s,)
+        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        for c, (qh, kh_t, vh) in zip(cols, map(blocks, cols)):
+            p = _softmax_(qh @ kh_t)
+            dlogits = _softmax_backward(g[:, c] @ vh.T, p)
+            dq[:, c] = dlogits @ kh_t.T
+            dk[:, c] = (qh.T @ dlogits).T
+            dv[:, c] = p.T @ g[:, c]
+        return dq, dk, dv
 
-    return _make(s, (a,), backward)
+    return _make(out, (q, k, v), backward)
 
 
 def mean(a: Tensor, axis: int | None = None) -> Tensor:

@@ -310,6 +310,9 @@ def registration_line(reg) -> str:
 def write_scene_manifest(recordings: list[SceneRecording], path: str | Path) -> None:
     """The manifest at ``path``, and beside it one ``recNN`` directory per recording
     holding its frames as ``frame_KKKK.ppm`` and its events as ``events.evt0``."""
+    for idx, rec in enumerate(recordings):
+        if rec.scene_id != rec.scene_id.strip() or any(c in rec.scene_id for c in ",\n\r"):
+            raise ValueError(f"recording {idx}: scene id {rec.scene_id!r} would not read back from a manifest row")
     path = Path(path)
     rows = []
     for idx, rec in enumerate(recordings):

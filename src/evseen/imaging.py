@@ -22,6 +22,7 @@ __all__ = [
     "render_raw",
     "apply_isp",
     "brightness",
+    "exposure_class",
     "exposure_ok",
     "color_neutrality",
 ]
@@ -193,10 +194,16 @@ EXPOSURE_BAND = (0.4, 0.7)
 _BAND_EPS = 1e-9  # absorbs summation rounding so the boundaries stay inclusive
 
 
+def exposure_class(value: float) -> str:
+    """A brightness value below, inside or above [0.4, 0.7] inclusive: "low", "normal" or "high"."""
+    if value < EXPOSURE_BAND[0] - _BAND_EPS:
+        return "low"
+    return "normal" if value <= EXPOSURE_BAND[1] + _BAND_EPS else "high"
+
+
 def exposure_ok(img: RgbImage) -> bool:
     """Accurate-exposure predicate: mean brightness inside [0.4, 0.7] inclusive."""
-    value = brightness(img)
-    return EXPOSURE_BAND[0] - _BAND_EPS <= value <= EXPOSURE_BAND[1] + _BAND_EPS
+    return exposure_class(brightness(img)) == "normal"
 
 
 def color_neutrality(img: RgbImage) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventStream, simulate_events
-from .imaging import NoiseModel, RadianceField, RgbImage, apply_isp, brightness, render_raw
+from .imaging import NoiseModel, RadianceField, RgbImage, apply_isp, brightness, exposure_class, render_raw
 
 __all__ = [
     "SceneRecording",
@@ -62,15 +62,10 @@ class PairSet:
 
 
 def classify_lighting(frames: list[RgbImage]) -> str:
-    """Lighting class from mean frame brightness: <0.4 low, <=0.7 normal, else high."""
+    """Lighting class of the mean frame brightness: ``imaging.exposure_class``."""
     if not frames:
         raise ValueError("recording has no frames")
-    mean = float(np.mean([brightness(f) for f in frames]))
-    if mean < 0.4:
-        return "low"
-    if mean <= 0.7:
-        return "normal"
-    return "high"
+    return exposure_class(float(np.mean([brightness(f) for f in frames])))
 
 
 def enumerate_pairs(scene: list[SceneRecording]) -> PairSet:

@@ -30,7 +30,6 @@ __all__ = [
     "CALIBRATION_CONFIG",
     "init_params",
     "input_heads",
-    "cross_attention",
     "encode",
     "encode_image",
     "prompt_embed",
@@ -222,37 +221,14 @@ def attention_mix(query_flat: Tensor, kv_flat: Tensor, block: AttentionBlockPara
     kn = _layer_norm(kv_flat, block.ln_kv)
     d = query_flat.shape[1] // heads
     q = _linear(qn, block.wq) * (1.0 / math.sqrt(d))  # the logits' 1/sqrt(d), folded into q
-    k = _linear(kn, block.wk)
-    v = _linear(kn, block.wv)
-    mixed = []
-    for h in range(heads):
-        qh, kh, vh = (ad.slice_axis(t, 1, h * d, (h + 1) * d) for t in (q, k, v))
-        weights = ad.softmax_lastdim(ad.matmul(qh, ad.transpose2(kh)))
-        mixed.append(ad.matmul(weights, vh))
-    return ad.concat_lastdim(mixed)
+    return ad.attention(q, _linear(kn, block.wk), _linear(kn, block.wv), heads)
 
 
-def _cross_attention_flat(
-    query_flat: Tensor, kv_flat: Tensor, block: AttentionBlockParams, heads: int
-) -> Tensor:
+def _cross_attention(query_flat: Tensor, kv_flat: Tensor, block: AttentionBlockParams, heads: int) -> Tensor:
     mix = attention_mix(query_flat, kv_flat, block, heads)
     x = query_flat + _linear(mix, block.wo)
     ff = _linear(ad.relu(_linear(_layer_norm(x, block.ln_ff), block.ff1)), block.ff2)
     return x + ff
-
-
-def cross_attention(
-    query_feat: Tensor, kv_feat: Tensor, block: AttentionBlockParams, heads: int
-) -> Tensor:
-    """Pre-LN cross-attention with residual and feed-forward, on H x W x C features."""
-    if not np.all(np.isfinite(query_feat.data)) or not np.all(np.isfinite(kv_feat.data)):
-        raise FloatingPointError("non-finite attention input")
-    h, w, c = query_feat.shape
-    if c % heads:
-        raise ValueError("feature width must be divisible by the head count")
-    q = ad.reshape(query_feat, (h * w, c))
-    kv = ad.reshape(kv_feat, (kv_feat.shape[0] * kv_feat.shape[1], c))
-    return ad.reshape(_cross_attention_flat(q, kv, block, heads), (h, w, c))
 
 
 def _head(stack: np.ndarray, l1: LinearParams, l2: LinearParams) -> Tensor:
@@ -286,11 +262,11 @@ def encode(f_e: Tensor, f_i: Tensor, config: SeeNetConfig, params: SeeNetParams)
     h, w, c = f_i.shape
     e_flat = ad.reshape(f_e, (f_e.shape[0] * f_e.shape[1], c))
     i_flat = ad.reshape(f_i, (h * w, c))
-    f_1 = _cross_attention_flat(i_flat, e_flat, params.fuse, config.heads)
+    f_1 = _cross_attention(i_flat, e_flat, params.fuse, config.heads)
     f_j = f_1
     for j in range(config.loop_count):
-        a = _cross_attention_flat(f_j, e_flat, params.loop_event, config.heads)
-        f_j = _cross_attention_flat(a, f_1, params.loop_anchor, config.heads)
+        a = _cross_attention(f_j, e_flat, params.loop_event, config.heads)
+        f_j = _cross_attention(a, f_1, params.loop_anchor, config.heads)
         if not np.all(np.isfinite(f_j.data)):
             raise FloatingPointError(f"non-finite encoder feature at loop iteration {j}")
     return BlrFeature(ad.reshape(f_j, (h, w, c)))

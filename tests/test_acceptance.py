@@ -250,8 +250,10 @@ def test_criterion_6_gradient_suite():
         if len(shape) == 2:
             m = Tensor(rng.normal(size=(shape[1], 3)))
             checks.append(lambda t: ad.mean(ad.matmul(t, m)))
-            wt = Tensor(rng.normal(size=(shape[1], shape[0])))
-            checks.append(lambda t: ad.mean(ad.transpose2(t) * wt))
+            heads = 2 if shape[1] % 2 == 0 else 1
+            queries = Tensor(rng.normal(size=(5, shape[1])))
+            checks.append(lambda t: ad.mean(ad.attention(t, t, t, heads) * w))
+            checks.append(lambda t: ad.mean(ad.attention(queries, t, t * 0.5, heads) * queries))
             # (N, 1) row means broadcast back over (N, C), as layer norm uses them
             checks.append(lambda t: ad.mean((t - ad.mean(t, axis=1)) / ad.sqrt(ad.mean(t * t, axis=1) + 0.1) * w))
         for f in checks:

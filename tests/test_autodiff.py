@@ -113,8 +113,11 @@ class TestGradCheck:
             if len(shape) == 2:
                 m = Tensor(rng.normal(size=(shape[1], 3)))
                 cases["matmul"] = lambda t: ad.mean(ad.matmul(t, m))
-                wt = Tensor(rng.normal(size=(shape[1], shape[0])))
-                cases["transpose"] = lambda t: ad.mean(ad.transpose2(t) * wt)
+                # t as queries, keys and values at once, then as keys and values for 5 queries
+                heads = 2 if shape[1] % 2 == 0 else 1
+                queries = Tensor(rng.normal(size=(5, shape[1])))
+                cases["self_attention"] = lambda t: ad.mean(ad.attention(t, t, t, heads) * w)
+                cases["cross_attention"] = lambda t: ad.mean(ad.attention(queries, t, t * 0.5, heads) * queries)
                 cases["mean_axis"] = lambda t: ad.mean(ad.mean(t, axis=1) * ad.mean(w, axis=1) + ad.mean(t, axis=0))
                 # (N, 1) columns derived from t, broadcast back over (N, C): a layer norm
                 cases["column"] = lambda t: ad.mean(
@@ -151,6 +154,62 @@ class TestGradCheck:
             max_grad_error(lambda t: t * 2.0, rand((2,), 6))
 
 
+class TestAttention:
+    @staticmethod
+    def reference(q, k, v, heads):
+        """softmax(q_h k_h^T) v_h per head from plain numpy, heads side by side."""
+        d = q.shape[1] // heads
+        out = []
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            logits = q[:, cols].copy() @ k[:, cols].T.copy()
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            out.append(p @ v[:, cols].copy())
+        return np.concatenate(out, axis=1)
+
+    @pytest.mark.parametrize("n, m, c, heads", [(5, 5, 4, 1), (5, 7, 4, 2), (6, 3, 4, 4), (1, 9, 6, 3), (16, 16, 16, 2)])
+    def test_forward_equals_per_head_reference(self, n, m, c, heads):
+        q, k, v = rand((n, c), 40), rand((m, c), 41), rand((m, c), 42)
+        out = ad.attention(q, k, v, heads)
+        assert np.array_equal(out.data, self.reference(q.data, k.data, v.data, heads))
+        with ad.no_grad():
+            assert np.array_equal(ad.attention(q, k, v, heads).data, out.data)
+
+    @pytest.mark.parametrize("n, m, heads", [(4, 4, 1), (3, 5, 2), (5, 2, 4)])
+    def test_gradients_match_central_differences(self, n, m, heads):
+        q, k, v = rand((n, 4), 43), rand((m, 4), 44), rand((m, 4), 45)
+        w = Tensor(np.random.default_rng(46).normal(size=(n, 4)))
+        for role in range(3):
+            def f(t, role=role):
+                args = [q, k, v]
+                args[role] = t
+                return ad.mean(ad.attention(*args, heads) * w)
+
+            x = Tensor((q, k, v)[role].data.copy())
+            assert max_grad_error(f, x) < 1e-6, (role, heads)
+
+    def test_one_tape_node(self):
+        q, k = rand((3, 4), 47), rand((5, 4), 48)
+        out = ad.attention(q, k, k, 2)
+        assert collect_tape(out).nodes == [out._node]
+
+    @pytest.mark.parametrize(
+        "q, k, v, heads",
+        [
+            ((3, 4), (5, 6), (5, 6), 1),  # query and key widths differ
+            ((3, 4), (5, 4), (6, 4), 1),  # key and value counts differ
+            ((3, 4), (5, 4), (5, 2), 1),  # value width differs
+            ((3, 4), (5, 4), (5, 4), 3),  # 3 does not divide 4
+            ((3, 4), (5, 4), (5, 4), 0),  # no heads
+            ((12,), (5, 4), (5, 4), 1),  # 1-d queries
+        ],
+    )
+    def test_bad_shapes_and_heads_rejected(self, q, k, v, heads):
+        with pytest.raises(ValueError):
+            ad.attention(Tensor(np.zeros(q)), Tensor(np.zeros(k)), Tensor(np.zeros(v)), heads)
+
+
 class TestTape:
     def test_topological_order(self):
         x = rand((3,), 7)
@@ -182,7 +241,8 @@ class TestNoGrad:
         "sub": lambda a, b: a - b,
         "mul": lambda a, b: a * b,
         "div": lambda a, b: a / (ad.absolute(b) + 1.0),
-        "matmul": lambda a, b: ad.matmul(a, ad.transpose2(b)),
+        "matmul": lambda a, b: ad.matmul(a, ad.reshape(b, (4, 3))),
+        "attention": lambda a, b: ad.attention(a, b, b * 0.5, 2),
         "softmax": lambda a, b: ad.softmax_lastdim(a * 1.7),
         "relu_sigmoid": lambda a, b: ad.relu(a) + ad.sigmoid(b),
         "sqrt": lambda a, b: ad.sqrt(a * a + 0.1),

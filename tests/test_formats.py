@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,14 @@ class TestSceneManifest:
         assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*") if p.is_file())
         for name in files:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("index, scene_id", [(1, "lab,a"), (1, "lab\nb"), (0, " lab")])
+    def test_unreadable_scene_id_rejected_before_writing(self, tmp_path, index, scene_id):
+        recordings = synth_scene(5, (0.125, 1.0), width=8, height=8, frames=2)
+        recordings[index].scene_id = scene_id
+        with pytest.raises(ValueError, match=f"recording {index}: scene id {re.escape(repr(scene_id))}"):
+            write_scene_manifest(recordings, tmp_path / "scene.txt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_reads_recordings(self, tmp_path):
         path = tmp_path / "scene.txt"

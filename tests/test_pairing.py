@@ -28,6 +28,14 @@ class TestClassify:
     def test_high(self):
         assert classify_lighting([RgbImage(np.full((4, 4, 3), 0.9))]) == "high"
 
+    @pytest.mark.parametrize("level", [0.4, 0.7])
+    @pytest.mark.parametrize("size", [4, 16])
+    def test_band_edges_are_normal(self, level, size):
+        # a uniform 0.7 frame averages to 0.7000000000000001; the edges stay inclusive
+        frame = RgbImage(np.full((size, size, 3), level))
+        assert exposure_ok(frame)
+        assert classify_lighting([frame]) == "normal"
+
     def test_mean_over_frames(self):
         frames = [RgbImage(np.full((4, 4, 3), 0.2)), RgbImage(np.full((4, 4, 3), 0.7))]
         assert classify_lighting(frames) == "normal"

@@ -17,7 +17,6 @@ from evseen.seenet import (
     SeeNetConfig,
     attention_mix,
     count_instantiated,
-    cross_attention,
     decode,
     encode,
     encode_image,
@@ -133,12 +132,12 @@ class TestCrossAttention:
         bad = Tensor(np.full((2, 2, CFG.channels), np.nan))
         good = Tensor(np.zeros((2, 2, CFG.channels)))
         with pytest.raises(FloatingPointError):
-            cross_attention(bad, good, params.fuse, CFG.heads)
+            encode(good, bad, CFG, params)
 
 
 class TestEncode:
     def test_single_loop_equals_manual_composition(self):
-        from evseen.seenet import _cross_attention_flat
+        from evseen.seenet import _cross_attention
 
         params = init_params(CFG)
         img, grid, pos = toy_inputs(5)
@@ -147,13 +146,13 @@ class TestEncode:
         out = encode(f_e, f_i, cfg1, params).tensor
         h, w, c = f_i.shape
         e_flat = ad.reshape(f_e, (h * w, c))
-        f_1 = _cross_attention_flat(ad.reshape(f_i, (h * w, c)), e_flat, params.fuse, CFG.heads)
-        a = _cross_attention_flat(f_1, e_flat, params.loop_event, CFG.heads)
-        manual = _cross_attention_flat(a, f_1, params.loop_anchor, CFG.heads)
+        f_1 = _cross_attention(ad.reshape(f_i, (h * w, c)), e_flat, params.fuse, CFG.heads)
+        a = _cross_attention(f_1, e_flat, params.loop_event, CFG.heads)
+        manual = _cross_attention(a, f_1, params.loop_anchor, CFG.heads)
         assert (out.data == manual.data.reshape(h, w, c)).all()
 
     def test_three_loops_equal_reference_unroll(self):
-        from evseen.seenet import _cross_attention_flat
+        from evseen.seenet import _cross_attention
 
         params = init_params(CFG)
         img, grid, pos = toy_inputs(6)
@@ -162,11 +161,11 @@ class TestEncode:
         out = encode(f_e, f_i, cfg3, params).tensor
         h, w, c = f_i.shape
         e_flat = ad.reshape(f_e, (h * w, c))
-        f_1 = _cross_attention_flat(ad.reshape(f_i, (h * w, c)), e_flat, params.fuse, CFG.heads)
+        f_1 = _cross_attention(ad.reshape(f_i, (h * w, c)), e_flat, params.fuse, CFG.heads)
         f_j = f_1
         for _ in range(3):
-            a = _cross_attention_flat(f_j, e_flat, params.loop_event, CFG.heads)
-            f_j = _cross_attention_flat(a, f_1, params.loop_anchor, CFG.heads)
+            a = _cross_attention(f_j, e_flat, params.loop_event, CFG.heads)
+            f_j = _cross_attention(a, f_1, params.loop_anchor, CFG.heads)
         assert (out.data == f_j.data.reshape(h, w, c)).all()
 
     def test_zeroed_output_projections_leave_residual_identity(self):
@@ -179,10 +178,10 @@ class TestEncode:
         zero_grid = VoxelGrid(np.zeros_like(grid.values), 0, 1)
         f_e, f_i = input_heads(img, zero_grid, pos, params)
         out = encode(f_e, f_i, CFG, params).tensor
-        from evseen.seenet import _cross_attention_flat
+        from evseen.seenet import _cross_attention
 
         h, w, c = f_i.shape
-        f_1 = _cross_attention_flat(
+        f_1 = _cross_attention(
             ad.reshape(f_i, (h * w, c)), ad.reshape(f_e, (h * w, c)), params.fuse, CFG.heads
         )
         assert (out.data.reshape(h * w, c) == f_1.data).all()
@@ -382,16 +381,16 @@ class TestForwardPrompts:
 class TestTape:
     def test_train_step_freed_by_reference_counting(self, monkeypatch):
         """With the cyclic collector off, dropping a step's loss frees its tape:
-        every attention-weights array dies with it."""
+        every attention output array dies with it."""
         weights = []
-        softmax = ad.softmax_lastdim
+        attention = ad.attention
 
-        def recording(a):
-            out = softmax(a)
+        def recording(q, k, v, heads):
+            out = attention(q, k, v, heads)
             weights.append(weakref.ref(out.data))
             return out
 
-        monkeypatch.setattr(ad, "softmax_lastdim", recording)
+        monkeypatch.setattr(ad, "attention", recording)
         params = init_params(CFG)
         img, grid, pos = toy_inputs(17)
         target = np.random.default_rng(17).uniform(0, 1, img.values.shape)
@@ -406,14 +405,14 @@ class TestTape:
         finally:
             if enabled:
                 gc.enable()
-        assert alive_after_backward == len(weights) == CFG.heads * (1 + 2 * CFG.loop_count)
+        assert alive_after_backward == len(weights) == 1 + 2 * CFG.loop_count
         assert alive_after_drop == 0
 
-    def test_toy_forward_records_under_600_nodes(self):
+    def test_toy_forward_records_under_450_nodes(self):
         cfg = SeeNetConfig()
         img, grid, pos = toy_inputs(18, h=16, w=16, cfg=cfg)
         pred = _forward_tensor(img, grid, 0.5, cfg, init_params(cfg), pos)
-        assert len(ad.collect_tape(pred).nodes) < 600
+        assert len(ad.collect_tape(pred).nodes) < 450
 
 
 class TestTraining:
