@@ -1,14 +1,15 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
 Float64 throughout, numpy broadcasting between the operands of ``add``,
-``sub``, ``mul`` and ``div`` (a python scalar folds into the op; the backward
-pass sums each gradient back to its input's shape), and exactly the primitive
-set the enhancement network needs.  Nodes are recorded with a global sequence
-number; the backward pass walks the reachable tape once in reverse creation
-order, which is always a valid topological order.  A node points only at its
-inputs, never at its output, so a tape is freed as soon as its last output
-tensor is dropped.  Inside ``no_grad()`` nothing is recorded, so inference
-keeps no tape.
+``sub`` and ``mul`` (a python scalar folds into the op; the backward pass sums
+each gradient back to its input's shape), and exactly the primitive set the
+enhancement network needs: whole-tensor means, and attention and layer norm
+as one tape node each with an analytic backward.  Nodes are recorded with a
+global sequence number; the backward pass walks the reachable tape once in
+reverse creation order, which is always a valid topological order.  A node
+points only at its inputs, never at its output, so a tape is freed as soon as
+its last output tensor is dropped.  Inside ``no_grad()`` nothing is recorded,
+so inference keeps no tape.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "Tape",
     "matmul",
     "attention",
+    "layer_norm",
     "reshape",
     "concat_lastdim",
     "slice_axis",
@@ -120,9 +122,6 @@ class Tensor:
     def __rsub__(self, other):
         return add(neg(self), other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return neg(self)
 
@@ -208,21 +207,6 @@ def mul(a: Tensor, b) -> Tensor:
         scalar = float(b)
         return _make(a.data * scalar, (a,), lambda g: (g * scalar,))
     return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def div(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        scalar = float(b)
-        if scalar == 0.0:
-            raise ZeroDivisionError("division by zero scalar")
-        return _make(a.data / scalar, (a,), lambda g: (g / scalar,))
-    if np.any(b.data == 0.0):
-        raise ZeroDivisionError("division by zero element")
-    return _make(
-        a.data / b.data,
-        (a, b),
-        lambda g: (g / b.data, -g * a.data / (b.data * b.data)),
-    )
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -322,11 +306,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _make(out, (q, k, v), backward)
 
 
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    """Mean of every element, or along ``axis`` kept as a length-1 dim."""
-    out = np.asarray(a.data.mean(axis=axis, keepdims=axis is not None))
-    n = a.data.size // out.size
-    return _make(out, (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Each row of the (N, C) ``x`` normalised (``eps`` added to the variance),
+    scaled by the (C,) ``gamma`` and shifted by the (C,) ``beta``, as one tape
+    node with the closed-form backward of Ba et al. 2016, "Layer Normalization"."""
+    centered = x.data - x.data.mean(axis=1, keepdims=True)
+    sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    xhat = centered / sigma
+
+    def backward(g):
+        gh = g * gamma.data
+        dx = (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True)) / sigma
+        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+
+
+def mean(a: Tensor) -> Tensor:
+    """Mean of every element."""
+    return _make(np.asarray(a.data.mean()), (a,), lambda g: (np.broadcast_to(g / a.size, a.shape).copy(),))
 
 
 def absolute(a: Tensor) -> Tensor:

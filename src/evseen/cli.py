@@ -53,8 +53,6 @@ def _manifest(out_dir: Path, command: str, args: dict, inputs: list[Path], outpu
 
 
 def _cmd_simulate(ns: argparse.Namespace) -> int:
-    if ns.threshold <= 0:
-        raise ValueError("threshold must be positive")
     stack = formats.read_evsf(ns.field)
     if stack.ndim != 3:
         raise ValueError("radiance field container must be 3-d (frames, height, width)")
@@ -260,6 +258,8 @@ def _cmd_enhance(ns: argparse.Namespace) -> int:
 
 
 def _cmd_grad_check(ns: argparse.Namespace) -> int:
+    if not (math.isfinite(ns.tol) and ns.tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     worst = 0.0
     rng = np.random.default_rng(ns.seed)
     for shape in [(3,), (2, 3), (4, 4)]:

@@ -118,10 +118,10 @@ def simulate_events(
     """
     if field.frames < 2:
         raise ValueError("need at least two frames to difference")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if floor <= 0:
-        raise ValueError("log floor must be positive")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ValueError("threshold must be finite and positive")
+    if not (np.isfinite(floor) and floor > 0):
+        raise ValueError("log floor must be finite and positive")
 
     logs = np.log(np.maximum(field.values, floor))
     ref = logs[0].copy()

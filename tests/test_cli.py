@@ -66,6 +66,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_nan_threshold_exits_2_and_writes_nothing(self, field_file, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code = main(["simulate", "--field", str(field_file), "--threshold", "nan", "--out", str(out)])
+        assert code == 2
+        assert "threshold must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_missing_file(self, tmp_path):
         code = main(["voxelize", "--events", str(tmp_path / "nope.evt0"), "--out", str(tmp_path)])
         assert code == 3
@@ -478,6 +485,16 @@ class TestEnhanceBoundaries:
         assert "steps must be >= 1" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
+    def test_train_bad_lr_exits_2_and_writes_nothing(self, tmp_path, capsys, lr):
+        out = tmp_path / "t"
+        code = main(["train-toy", "--steps", "2", "--lr", lr, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "learning rate must be finite and >= 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestGradCheckCli:
     def test_pass_line(self, capsys):
@@ -486,3 +503,11 @@ class TestGradCheckCli:
         assert code == 0
         assert out.startswith("PASS max_rel_err=")
         assert float(out.strip().split("=")[1]) < 1e-3
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_bad_tol_exits_2_before_checking(self, capsys, tol):
+        code = main(["grad-check", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "tolerance must be finite and positive" in captured.err
+        assert captured.out == ""

@@ -84,6 +84,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_events(field, 0.0)
 
+    @pytest.mark.parametrize("arg", ["threshold", "floor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_threshold_or_floor_rejected(self, arg, value):
+        field = single_pixel_field([0.5, 0.6])
+        kwargs = {"threshold": 0.2, "floor": 1e-6, arg: value}
+        with pytest.raises(ValueError, match="finite"):
+            simulate_events(field, **kwargs)
+
     def test_tie_order(self):
         # simultaneous events sort by (t, y, x, p)
         c = 0.1

@@ -408,11 +408,11 @@ class TestTape:
         assert alive_after_backward == len(weights) == 1 + 2 * CFG.loop_count
         assert alive_after_drop == 0
 
-    def test_toy_forward_records_under_450_nodes(self):
+    def test_toy_forward_records_under_300_nodes(self):
         cfg = SeeNetConfig()
         img, grid, pos = toy_inputs(18, h=16, w=16, cfg=cfg)
         pred = _forward_tensor(img, grid, 0.5, cfg, init_params(cfg), pos)
-        assert len(ad.collect_tape(pred).nodes) < 450
+        assert len(ad.collect_tape(pred).nodes) < 300
 
 
 class TestTraining:
