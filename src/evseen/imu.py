@@ -2,11 +2,13 @@
 
 Two 1000 Hz sequences recorded along the same trajectory differ by an unknown
 constant offset.  The recovery pipeline is: per-channel constant-velocity Kalman
-denoising, a 3-level average-pooling pyramid, then a coarse-to-fine search for
-the bias b and matching length l minimizing the mean per-sample L1 distance over
-the aligned overlap.  ``register_exhaustive`` runs the same search on a
-one-level pyramid, the full-resolution sequences, which scans every admissible
-bias and length; it is the brute-force reference used to validate the hierarchy.
+denoising (a gain track cut at its exact fixed point, then a log-depth prefix
+scan of the affine state update: Blelloch 1990; Sarkka & Garcia-Fernandez 2021),
+a 3-level average-pooling pyramid, then a coarse-to-fine search for the bias b
+and matching length l minimizing the mean per-sample L1 distance over the
+aligned overlap.  ``register_exhaustive`` runs the same search on a one-level
+pyramid, the full-resolution sequences, which scans every admissible bias and
+length; it is the brute-force reference used to validate the hierarchy.
 
 Bias convention: ``b`` is the offset of the target relative to the source, i.e.
 source[i] aligns with target[i + b].  Prepending samples to the target increases
@@ -51,8 +53,8 @@ class ImuSequence:
             raise ValueError("need at least one sample")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
-        if self.rate_hz <= 0:
-            raise ValueError("rate must be positive")
+        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise ValueError("rate must be finite and positive")
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -64,8 +66,8 @@ class KalmanParams:
     measurement_noise: float = 1e-1
 
     def __post_init__(self) -> None:
-        if self.process_noise <= 0 or self.measurement_noise <= 0:
-            raise ValueError("Kalman noise parameters must be strictly positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.process_noise, self.measurement_noise)):
+            raise ValueError("Kalman noise parameters must be finite and positive")
 
 
 @dataclass
@@ -87,37 +89,52 @@ class Registration:
 def kalman_denoise(seq: ImuSequence, params: KalmanParams = KalmanParams()) -> ImuSequence:
     """Per-channel constant-velocity Kalman filter (state = [value, rate]).
 
-    The gain recursion is data-independent, so one scalar covariance track drives
-    all six channels.  Constant inputs are fixed points; with measurement noise
-    going to zero the output converges to the input.
+    The gains are data-independent: one scalar covariance track gives (k1, k2)
+    for all six channels, and stops once the post-update covariance repeats
+    exactly.  In deviation form, s_i = [x0_i - z_i, x1_i] with s_0 = 0, the
+    update is affine, s_i = A_i s_{i-1} + u_i (z_i - z_{i-1}) with
+    A_i = [[1-k1, 1-k1], [-k2, 1-k2]] and u_i = [k1-1, k2], and an inclusive
+    Hillis-Steele scan composes the maps in ceil(log2 n) strides; the output is
+    z + s[:, 0].  A constant input has no increments, so it comes back bit for bit.
     """
-    z = seq.samples
-    n = len(seq)
+    z, n = seq.samples, len(seq)
     q, r = params.process_noise, params.measurement_noise
     # discrete white-noise-acceleration process covariance for unit timestep
     q11, q12, q22 = 0.25 * q, 0.5 * q, q
-    x = np.zeros((2, CHANNELS))
-    x[0] = z[0]
+    k1, k2 = np.empty(n), np.empty(n)
     p11, p12, p22 = r, 0.0, 1.0
-    out = np.empty_like(z)
     for i in range(n):
-        if i > 0:
-            # predict: x <- F x with F = [[1, 1], [0, 1]]
-            x[0] += x[1]
+        prev = (p11, p12, p22)
+        if i > 0:  # predict with F = [[1, 1], [0, 1]]
             p11 = p11 + 2.0 * p12 + p22 + q11
             p12 = p12 + p22 + q12
             p22 = p22 + q22
         s = p11 + r
-        k1 = p11 / s
-        k2 = p12 / s
-        innov = z[i] - x[0]
-        x[0] += k1 * innov
-        x[1] += k2 * innov
-        p22 = p22 - k2 * p12
-        p12 = p12 - k2 * p11
-        p11 = p11 * (1.0 - k1)
-        out[i] = x[0]
-    return ImuSequence(out, seq.rate_hz, seq.t0_us)
+        g1, g2 = p11 / s, p12 / s
+        p22 = p22 - g2 * p12
+        p12 = p12 - g2 * p11
+        p11 = p11 * (1.0 - g1)
+        k1[i], k2[i] = g1, g2
+        if i > 0 and (p11, p12, p22) == prev:  # a fixed point: every later gain repeats
+            k1[i:], k2[i:] = g1, g2
+            break
+    # map i sends s to [[a, b], [c, d]] s + [e, f]; map 0 sends s_0 = 0 to itself
+    a, c = 1.0 - k1, -k2
+    b, d = a.copy(), 1.0 - k2
+    dz = np.diff(z, axis=0, prepend=z[:1])
+    e, f = -a[:, None] * dz, k2[:, None] * dz
+    stride = 1
+    while stride < n:
+        # compose map i with map i - stride; each tuple is evaluated before it is assigned
+        hi, lo = slice(stride, None), slice(None, n - stride)
+        ai, bi, ci, di, aj, bj, cj, dj = a[hi], b[hi], c[hi], d[hi], a[lo], b[lo], c[lo], d[lo]
+        e[hi], f[hi] = (
+            ai[:, None] * e[lo] + bi[:, None] * f[lo] + e[hi],
+            ci[:, None] * e[lo] + di[:, None] * f[lo] + f[hi],
+        )
+        a[hi], b[hi], c[hi], d[hi] = ai * aj + bi * cj, ai * bj + bi * dj, ci * aj + di * cj, ci * bj + di * dj
+        stride *= 2
+    return ImuSequence(z + e, seq.rate_hz, seq.t0_us)
 
 
 def build_pyramid(

@@ -116,10 +116,11 @@ class TestExitCodes:
         capsys.readouterr()
         assert codes == {0, 3}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_numeric_failure_divergent_training(self, tmp_path):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numeric_failure_divergent_training(self, tmp_path, capsys):
         code = main(["train-toy", "--steps", "60", "--lr", "1e150", "--out", str(tmp_path / "x")])
         assert code == 4
+        assert capsys.readouterr().err == "numeric failure: non-finite encoder feature at loop iteration 0\n"
 
 
 class TestSimulateVoxelize:
@@ -186,7 +187,21 @@ class TestRegisterCli:
         source, target, _ = imu_files
         code = main(["register-imu", "--source", str(source), "--target", str(target), "--oracle"])
         assert code == 0
-        assert "agree" in capsys.readouterr().out
+        assert capsys.readouterr().out.strip().split("\n")[-1] == "agree"
+
+    def test_denoise_known_shift(self, imu_files, capsys):
+        source, target, shift = imu_files
+        code = main(["register-imu", "--source", str(source), "--target", str(target), "--denoise"])
+        assert code == 0
+        bias, bias_us, length, score = capsys.readouterr().out.strip().split(",")
+        assert abs(int(bias) - shift) <= 1
+        assert int(bias_us) == int(bias) * 1000
+
+    def test_denoise_oracle_agreement(self, imu_files, capsys):
+        source, target, _ = imu_files
+        argv = ["register-imu", "--source", str(source), "--target", str(target), "--denoise", "--oracle"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip().split("\n")[-1] == "agree"
 
 
 class TestEvalAlignCli:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import shifted_imu_pair, smooth_trajectory
 from evseen.imu import (
+    CHANNELS,
     ImuSequence,
     KalmanParams,
     build_pyramid,
@@ -22,6 +23,44 @@ def two_loop_score(s, t, b, l):
         for ch in range(6):
             total += abs(s[start_s + i, ch] - t[start_t + i, ch])
     return total / (l * 6)
+
+
+def sequential_kalman(seq: ImuSequence, params: KalmanParams = KalmanParams()) -> ImuSequence:
+    """The per-sample Kalman loop that ``kalman_denoise``'s prefix scan replaces."""
+    z = seq.samples
+    n = len(seq)
+    q, r = params.process_noise, params.measurement_noise
+    # discrete white-noise-acceleration process covariance for unit timestep
+    q11, q12, q22 = 0.25 * q, 0.5 * q, q
+    x = np.zeros((2, CHANNELS))
+    x[0] = z[0]
+    p11, p12, p22 = r, 0.0, 1.0
+    out = np.empty_like(z)
+    for i in range(n):
+        if i > 0:
+            # predict: x <- F x with F = [[1, 1], [0, 1]]
+            x[0] += x[1]
+            p11 = p11 + 2.0 * p12 + p22 + q11
+            p12 = p12 + p22 + q12
+            p22 = p22 + q22
+        s = p11 + r
+        k1 = p11 / s
+        k2 = p12 / s
+        innov = z[i] - x[0]
+        x[0] += k1 * innov
+        x[1] += k2 * innov
+        p22 = p22 - k2 * p12
+        p12 = p12 - k2 * p11
+        p11 = p11 * (1.0 - k1)
+        out[i] = x[0]
+    return ImuSequence(out, seq.rate_hz, seq.t0_us)
+
+
+def assert_kalman_parity(samples, params):
+    seq = ImuSequence(samples)
+    got = kalman_denoise(seq, params).samples
+    want = sequential_kalman(seq, params).samples
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(samples).max())
 
 
 class TestKalman:
@@ -57,6 +96,30 @@ class TestKalman:
             KalmanParams(0.0, 1.0)
         with pytest.raises(ValueError):
             KalmanParams(1.0, -1.0)
+
+    @pytest.mark.parametrize("q, r", [(np.nan, 0.1), (np.inf, 0.1), (1e-3, np.nan), (1e-3, np.inf)])
+    def test_non_finite_params_rejected(self, q, r):
+        with pytest.raises(ValueError, match="finite"):
+            KalmanParams(q, r)
+
+
+# the default gain track reaches its fixed point at the 84th step, (1e-4, 1.0) at the
+# 264th, and (1e-3, 1e-12) not within 10,000 steps
+@pytest.mark.parametrize("n", [1, 2, 83, 84, 85, 10_000])
+@pytest.mark.parametrize("q, r", [(1e-3, 0.1), (1e-4, 1.0), (1e-3, 1e-12)])
+def test_kalman_matches_sequential_loop(n, q, r):
+    rng = np.random.default_rng(n)
+    assert_kalman_parity(smooth_trajectory(rng, n) + rng.normal(0, 0.01, (n, 6)), KalmanParams(q, r))
+
+
+def test_kalman_matches_sequential_loop_offset():
+    rng = np.random.default_rng(4)
+    assert_kalman_parity(1e6 + rng.normal(0, 1, (3000, 6)), KalmanParams())
+
+
+def test_kalman_matches_sequential_loop_before_fixed_point():
+    # 200 steps end before the 264th, where this gain track reaches its fixed point
+    assert_kalman_parity(np.random.default_rng(6).normal(0, 1, (200, 6)), KalmanParams(1e-4, 1.0))
 
 
 class TestPyramid:
@@ -210,6 +273,11 @@ class TestRegister:
         source, target, _ = shifted_imu_pair(2, n=4000, shift=250, sigma=0.005)
         reg = register(source, target)
         assert reg.bias_us == reg.bias_samples * 1000
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0, -1000.0])
+    def test_non_finite_or_non_positive_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            ImuSequence(np.zeros((2000, 6)), rate_hz=rate)
 
     def test_rate_mismatch_rejected(self):
         a = ImuSequence(np.zeros((2000, 6)), rate_hz=1000.0)
