@@ -9,6 +9,7 @@ descriptors have unit L2 norm and flat patches are discarded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,15 +213,21 @@ def ransac_affine(
     n = src.shape[0]
     if n < 3:
         raise ValueError("need at least 3 point pairs")
+    if iterations < 1:
+        raise ValueError(f"RANSAC needs at least one iteration, got {iterations}")
+    if not (math.isfinite(inlier_px) and inlier_px > 0):
+        raise ValueError(f"inlier threshold must be finite and positive, got {inlier_px}")
     rng = np.random.default_rng(seed)
     best_key = None
     best_model = None
     best_inliers = None
+    solved = False
     for it in range(iterations):
         idx = rng.choice(n, size=3, replace=False)
         model = _solve_affine_3pt(src[idx], dst[idx])
         if model is None:
             continue
+        solved = True
         proj = src @ model[:, :2].T + model[:, 2]
         err = np.linalg.norm(proj - dst, axis=1)
         inliers = err <= inlier_px
@@ -233,6 +240,8 @@ def ransac_affine(
             best_model = model
             best_inliers = inliers
     if best_model is None:
+        if solved:
+            raise ValueError(f"RANSAC failed: no hypothesis reached 3 inliers within {inlier_px} px")
         raise ValueError("RANSAC failed: every sampled triple was collinear")
     s_in, d_in = src[best_inliers], dst[best_inliers]
     design = np.hstack([s_in, np.ones((len(s_in), 1))])

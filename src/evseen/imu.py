@@ -10,6 +10,12 @@ aligned overlap.  ``register_exhaustive`` runs the same search on a one-level
 pyramid, the full-resolution sequences, which scans every admissible bias and
 length; it is the brute-force reference used to validate the hierarchy.
 
+Every search level copies its two sequences once into channel-major (6, n)
+arrays, so each bias sums six contiguous rows into one buffer instead of
+reducing a 6-wide inner axis.  The channels add in the order numpy sums a row,
+so every score is bit-identical to the row-major scan; ``match_score`` is the
+same kernel on one cell, so it reads back a registration's score exactly.
+
 Bias convention: ``b`` is the offset of the target relative to the source, i.e.
 source[i] aligns with target[i + b].  Prepending samples to the target increases
 the recovered bias by the same amount.
@@ -84,6 +90,7 @@ class Registration:
     length: int
     score: float
     evaluations: int = 0
+    level_evaluations: tuple[int, ...] = ()  # cells scanned per pyramid level, coarsest first
 
 
 def kalman_denoise(seq: ImuSequence, params: KalmanParams = KalmanParams()) -> ImuSequence:
@@ -163,45 +170,76 @@ def build_pyramid(
 
 
 def match_score(s: np.ndarray, t: np.ndarray, b: int, l: int) -> float:
-    """Mean absolute difference over l aligned samples and all 6 channels."""
+    """Mean absolute difference over l aligned samples and all 6 channels, summed
+    as the bias scan sums it, so the score of a registered cell reads back exactly."""
     start_t = max(0, b)
     start_s = start_t - b
     if l < 1:
         raise ValueError("window length must be positive")
     if start_s + l > s.shape[0] or start_t + l > t.shape[0]:
         raise ValueError(f"overlap window (b={b}, l={l}) does not fit both sequences")
-    return float(np.mean(np.abs(s[start_s : start_s + l] - t[start_t : start_t + l])))
+    csum = _abs_diff_cumsum(s.T, t.T, start_s, start_t, np.empty(l), np.empty(l))
+    return float(csum[-1] / (CHANNELS * l))
 
 
-def _scan_bias(s: np.ndarray, t: np.ndarray, b: int, l_min: int) -> tuple[float, int, int]:
+def _abs_diff_cumsum(
+    s: np.ndarray, t: np.ndarray, start_s: int, start_t: int, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Running sums of sum_c |s[c, start_s + i] - t[c, start_t + i]| over the
+    len(out) aligned samples of two channel-major (6, n) arrays, written into ``out``.
+
+    Channels accumulate 0 to 5 in that order, then one sequential cumsum runs.
+    """
+    n = out.shape[0]
+    np.subtract(s[0, start_s : start_s + n], t[0, start_t : start_t + n], out=out)
+    np.abs(out, out=out)
+    for c in range(1, CHANNELS):
+        np.subtract(s[c, start_s : start_s + n], t[c, start_t : start_t + n], out=tmp)
+        np.abs(tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return np.cumsum(out, out=out)
+
+
+def _scan_bias(
+    s: np.ndarray, t: np.ndarray, b: int, l_min: int, denom: np.ndarray, buf: np.ndarray
+) -> tuple[float, int, int]:
     """Best (score, length) for one admissible bias over every admissible length,
     plus the number of lengths scanned.
 
-    Cumulative sums over the channel-summed absolute difference yield the score
-    of every window length in one pass; ties prefer the larger length.
+    ``s`` and ``t`` are channel-major (6, n); ``denom`` holds 6 * l for
+    l = l_min, l_min + 1, ...; ``buf`` is (2, n) scratch at least as long as the
+    overlap.  Summing each channel's contiguous row into one buffer is the order
+    numpy reduces a 6-wide row in (left to right), so the channel sums, and every
+    score, are bit-identical to ``np.abs(diff).sum(axis=1)`` on the (n, 6)
+    layout, without its slow 6-wide inner reduction.  Cumulative sums of the
+    channel sums give the score of every length in one pass; ties prefer the
+    larger length, the last occurrence of the minimum.
     """
     start_t = max(0, b)
     start_s = start_t - b
-    overlap = min(s.shape[0] - start_s, t.shape[0] - start_t)
-    diff = np.abs(s[start_s : start_s + overlap] - t[start_t : start_t + overlap]).sum(axis=1)
-    csum = np.cumsum(diff)
-    lengths = np.arange(l_min, overlap + 1)
-    scores = csum[l_min - 1 :] / (CHANNELS * lengths)
-    best = scores.min()
-    best_l = int(lengths[scores == best].max())
-    return float(best), best_l, len(lengths)
+    overlap = min(s.shape[1] - start_s, t.shape[1] - start_t)
+    csum = _abs_diff_cumsum(s, t, start_s, start_t, buf[0, :overlap], buf[1, :overlap])
+    count = overlap - l_min + 1
+    scores = csum[l_min - 1 :]
+    np.divide(scores, denom[:count], out=scores)
+    best = count - 1 - int(np.argmin(scores[::-1]))
+    return float(scores[best]), l_min + best, count
 
 
 def _search_biases(
     s: np.ndarray, t: np.ndarray, biases: range, l_min: int
 ) -> tuple[int, int, float, int]:
-    """Best (bias, length, score) over ``biases``, plus the cells scanned.  Ties
-    break by (score, larger length, smaller |bias|, smaller bias)."""
+    """Best (bias, length, score) over ``biases`` for two (n, 6) levels, plus the
+    cells scanned.  Ties break by (score, larger length, smaller |bias|, smaller bias)."""
+    longest = min(s.shape[0], t.shape[0])  # no overlap is longer
+    s, t = np.ascontiguousarray(s.T), np.ascontiguousarray(t.T)
+    denom = CHANNELS * np.arange(l_min, longest + 1)
+    buf = np.empty((2, longest))
     best_key = None
     best = None
     scanned = 0
     for b in biases:
-        score, length, count = _scan_bias(s, t, b, l_min)
+        score, length, count = _scan_bias(s, t, b, l_min, denom, buf)
         scanned += count
         key = (score, -length, abs(b), b)
         if best_key is None or key < best_key:
@@ -229,7 +267,7 @@ def _coarse_to_fine(
     than the one before.
     """
     bias = None
-    evaluations = 0
+    level_evaluations = []
     for s, t in zip(s_levels, t_levels):
         ns, nt = s.shape[0], t.shape[0]
         l_min = max(1, math.ceil(l_min_fraction * min(ns, nt)))
@@ -238,8 +276,10 @@ def _coarse_to_fine(
             center, radius = bias * pool_factor, search_radius * pool_factor
             biases = range(max(center - radius, biases.start), min(center + radius + 1, biases.stop))
         bias, length, score, scanned = _search_biases(s, t, biases, l_min)
-        evaluations += scanned
-    return Registration(bias, round(bias * 1_000_000 / rate_hz), length, score, evaluations)
+        level_evaluations.append(scanned)
+    return Registration(
+        bias, round(bias * 1_000_000 / rate_hz), length, score, sum(level_evaluations), tuple(level_evaluations)
+    )
 
 
 def _check_pair(source: ImuSequence, target: ImuSequence, l_min_fraction: float) -> None:
@@ -279,7 +319,7 @@ def register_exhaustive(
     """Full level-0 scan over every admissible bias and length: ``register``'s
     search on a one-level pyramid, the reference the hierarchy is checked
     against.  ``tests/test_imu.py`` checks the shared per-bias scan against a
-    two-loop score."""
+    two-loop score and, for exact equality, against the row-major scan."""
     _check_pair(source, target, l_min_fraction)
     # pool factor and radius only act between levels, so a one-level search ignores them
     return _coarse_to_fine([source.samples], [target.samples], 1, 0, l_min_fraction, source.rate_hz)

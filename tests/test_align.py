@@ -139,8 +139,28 @@ class TestRansac:
 
     def test_collinear_rejected(self):
         src = np.array([[float(i), float(i)] for i in range(10)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="every sampled triple was collinear"):
             ransac_affine(src, src + 1.0, 50, 2.0, seed=0)
+
+    def test_no_hypothesis_with_three_inliers(self):
+        # every hypothesis is solvable, but its own three points miss by rounding error
+        rng = np.random.default_rng(5)
+        src = rng.uniform(0, 100, (30, 2))
+        dst = src @ np.array([[1.1, -0.1], [0.1, 0.9]]) + np.array([5.0, -3.0]) + rng.normal(0, 1.0, (30, 2))
+        with pytest.raises(ValueError, match="no hypothesis reached 3 inliers within 1e-300 px"):
+            ransac_affine(src, dst, 50, 1e-300, seed=0)
+
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_non_positive_iterations_rejected(self, iterations):
+        src = np.random.default_rng(0).uniform(0, 50, (10, 2))
+        with pytest.raises(ValueError, match=f"at least one iteration, got {iterations}"):
+            ransac_affine(src, src + 1.0, iterations, 2.0)
+
+    @pytest.mark.parametrize("inlier_px", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_inlier_threshold_rejected(self, inlier_px):
+        src = np.random.default_rng(0).uniform(0, 50, (10, 2))
+        with pytest.raises(ValueError, match="inlier threshold must be finite and positive"):
+            ransac_affine(src, src + 1.0, 50, inlier_px)
 
 
 class TestDisplacement:

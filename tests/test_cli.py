@@ -229,6 +229,15 @@ class TestEvalAlignCli:
         assert capsys.readouterr().out == line
         assert out.read_text() == report.transform.to_line() + "\n"
 
+    def test_zero_iterations_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "img.ppm"
+        formats.write_ppm(textured_image(3, 64, 64), path)
+        code = main(["eval-align", "--image-a", str(path), "--image-b", str(path), "--iterations", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: RANSAC needs at least one iteration, got 0\n"
+
 
 class TestPairCli:
     def test_synth_pairs_and_manifest(self, tmp_path, capsys):

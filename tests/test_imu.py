@@ -1,11 +1,18 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import shifted_imu_pair, smooth_trajectory
+from evseen.formats import registration_line
 from evseen.imu import (
     CHANNELS,
     ImuSequence,
     KalmanParams,
+    Registration,
+    _search_biases,
     build_pyramid,
     kalman_denoise,
     match_score,
@@ -54,6 +61,46 @@ def sequential_kalman(seq: ImuSequence, params: KalmanParams = KalmanParams()) -
         p11 = p11 * (1.0 - k1)
         out[i] = x[0]
     return ImuSequence(out, seq.rate_hz, seq.t0_us)
+
+
+def _row_major_scan_bias(s: np.ndarray, t: np.ndarray, b: int, l_min: int) -> tuple[float, int, int]:
+    start_t = max(0, b)
+    start_s = start_t - b
+    overlap = min(s.shape[0] - start_s, t.shape[0] - start_t)
+    diff = np.abs(s[start_s : start_s + overlap] - t[start_t : start_t + overlap]).sum(axis=1)
+    csum = np.cumsum(diff)
+    lengths = np.arange(l_min, overlap + 1)
+    scores = csum[l_min - 1 :] / (CHANNELS * lengths)
+    best = scores.min()
+    best_l = int(lengths[scores == best].max())
+    return float(best), best_l, len(lengths)
+
+
+def row_major_search(s: np.ndarray, t: np.ndarray, biases: range, l_min: int) -> tuple[int, int, float, int]:
+    """The (n, 6) row-major bias scan that the channel-major ``_search_biases`` replaces."""
+    best_key = None
+    best = None
+    scanned = 0
+    for b in biases:
+        score, length, count = _row_major_scan_bias(s, t, b, l_min)
+        scanned += count
+        key = (score, -length, abs(b), b)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (b, length, score)
+    return (*best, scanned)
+
+
+def admissible(ns: int, nt: int, fraction: float) -> tuple[range, int]:
+    """Every admissible bias and the shortest admissible length, as one search level has them."""
+    l_min = max(1, math.ceil(fraction * min(ns, nt)))
+    return range(-(ns - l_min), nt - l_min + 1), l_min
+
+
+def assert_scan_parity(s, t, fraction=0.5, biases=None):
+    full, l_min = admissible(s.shape[0], t.shape[0], fraction)
+    biases = full if biases is None else biases
+    assert _search_biases(s, t, biases, l_min) == row_major_search(s, t, biases, l_min)
 
 
 def assert_kalman_parity(samples, params):
@@ -174,6 +221,81 @@ class TestMatchScore:
         s = np.zeros((10, 6))
         with pytest.raises(ValueError):
             match_score(s, s, 8, 5)
+
+    def test_sums_channels_then_samples_in_order(self):
+        # 200 samples: np.mean would sum pairwise, the scan sums in sequence
+        rng = np.random.default_rng(4)
+        s, t = rng.normal(size=(230, 6)), rng.normal(size=(210, 6))
+        for b, l in [(0, 200), (7, 200), (-20, 200), (-20, 1)]:
+            start_t = max(0, b)
+            start_s = start_t - b
+            total = 0.0
+            for i in range(l):
+                row = 0.0
+                for ch in range(6):
+                    row += abs(s[start_s + i, ch] - t[start_t + i, ch])
+                total += row
+            assert match_score(s, t, b, l) == total / (6 * l)
+
+
+class TestScanParity:
+    """``_search_biases`` against the row-major reference: exact tuple equality."""
+
+    @pytest.mark.parametrize("ns, nt", [(40, 40), (30, 50), (50, 30), (37, 23)])
+    def test_equal_and_unequal_lengths(self, ns, nt):
+        rng = np.random.default_rng(ns * 100 + nt)
+        assert_scan_parity(rng.normal(size=(ns, 6)), rng.normal(size=(nt, 6)))
+
+    def test_bias_ranges_crossing_zero(self):
+        rng = np.random.default_rng(3)
+        s, t = rng.normal(size=(60, 6)), rng.normal(size=(45, 6))
+        for biases in [range(-7, 8), range(-1, 1), range(-15, 3), range(0, 20)]:
+            assert_scan_parity(s, t, 0.5, biases)
+
+    @pytest.mark.parametrize("ns, nt", [(20, 20), (20, 33), (33, 20)])
+    def test_single_admissible_length(self, ns, nt):
+        rng = np.random.default_rng(7)
+        assert_scan_parity(rng.normal(size=(ns, 6)), rng.normal(size=(nt, 6)), 1.0)
+
+    @pytest.mark.parametrize("nt", [1, 5])
+    def test_one_sample(self, nt):
+        rng = np.random.default_rng(1)
+        s, t = rng.normal(size=(1, 6)), rng.normal(size=(nt, 6))
+        for fraction in (0.5, 1.0):
+            assert_scan_parity(s, t, fraction)
+            assert_scan_parity(t, s, fraction)
+
+    @pytest.mark.parametrize("value", [0.0, 2.5])
+    def test_constant_sequences_tie_everywhere(self, value):
+        s, t = np.full((24, 6), value), np.full((31, 6), value)
+        assert_scan_parity(s, t)
+        assert_scan_parity(t, s)
+        assert_scan_parity(s, np.full((24, 6), value / 2))
+
+    def test_overflow_to_inf(self):
+        rng = np.random.default_rng(2)
+        s, t = rng.normal(size=(40, 6)), rng.normal(size=(40, 6))
+        s[5, 2], t[30, 4], t[12, 0] = 1e308, -1e308, 1.7e308
+        high, low = np.full((10, 6), 1e308), np.full((10, 6), -1e308)
+        with np.errstate(over="ignore"):
+            assert_scan_parity(s, t)
+            assert_scan_parity(high, low)
+            assert _search_biases(high, low, *admissible(10, 10, 0.5))[2] == np.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ns=st.integers(1, 64),
+        nt=st.integers(1, 64),
+        fraction=st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    )
+    def test_random_pairs(self, ns, nt, fraction, seed, scale):
+        rng = np.random.default_rng(seed)
+        s, t = rng.normal(0, scale, (ns, 6)), rng.normal(0, scale, (nt, 6))
+        # coarse levels of real pairs hold repeated values, where equal scores must tie alike
+        t[rng.random(nt) < 0.3] = s[0]
+        assert_scan_parity(s, t, fraction)
 
 
 class TestRegister:
@@ -353,15 +475,45 @@ def _fields(reg):
     return (reg.bias_samples, reg.bias_us, reg.length, reg.score, reg.evaluations)
 
 
+def assert_score_reads_back(reg, source, target):
+    assert match_score(source.samples, target.samples, reg.bias_samples, reg.length) == reg.score
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_register_pinned(seed):
     source, target, _ = shifted_imu_pair(seed, n=2500)
     for (s, pool, radius, fraction), want in PINNED_REGISTER.items():
         if s == seed:
-            assert _fields(register(source, target, pool, radius, fraction)) == want
+            reg = register(source, target, pool, radius, fraction)
+            assert _fields(reg) == want
+            assert len(reg.level_evaluations) == 3
+            assert sum(reg.level_evaluations) == reg.evaluations
+            assert_score_reads_back(reg, source, target)
 
 
 @pytest.mark.parametrize("seed, fraction", sorted(PINNED_EXHAUSTIVE))
 def test_register_exhaustive_pinned(seed, fraction):
     source, target, _ = shifted_imu_pair(seed, n=2500)
-    assert _fields(register_exhaustive(source, target, fraction)) == PINNED_EXHAUSTIVE[(seed, fraction)]
+    reg = register_exhaustive(source, target, fraction)
+    assert _fields(reg) == PINNED_EXHAUSTIVE[(seed, fraction)]
+    assert reg.level_evaluations == (reg.evaluations,)
+    assert_score_reads_back(reg, source, target)
+
+
+def test_registration_fields_and_line():
+    # the per-level counts are appended, so the pinned fields and the CLI line keep their order
+    names = [f.name for f in dataclasses.fields(Registration)]
+    assert names == ["bias_samples", "bias_us", "length", "score", "evaluations", "level_evaluations"]
+    reg = Registration(-107, -107000, 2255, 0.01106139629931022, 28693, (9, 3690, 24994))
+    assert registration_line(reg) == "-107,-107000,2255,0.01106139629931022"
+
+
+def test_level_evaluations_per_level():
+    pool, radius = 8, 3
+    source, target, _ = shifted_imu_pair(1, n=2500)
+    reg = register(source, target, pool, radius, 0.75)
+    levels = [level.data.shape[0] for level in reversed(build_pyramid(source, pool))]
+    # the coarsest level scans every admissible cell of its own grid
+    biases, l_min = admissible(levels[0], levels[0], 0.75)
+    assert reg.level_evaluations[0] == sum(levels[0] - abs(b) - l_min + 1 for b in biases)
+    assert sum(reg.level_evaluations) == reg.evaluations == 28693
