@@ -5,6 +5,11 @@ exact nearest neighbor with a ratio test, an affine transform is fit by RANSAC,
 and the reported metric is the mean displacement that transform induces over
 every pixel center.  ``evaluate_alignment`` always uses ``detect_keypoints``;
 descriptors have unit L2 norm and flat patches are discarded.
+
+Both hot loops run on stacked arrays with the per-item arithmetic unchanged, so
+results are bit-identical to per-item code: descriptors are gathered as one
+(k, 9, 9) patch array, and RANSAC solves and scores its hypotheses in blocks of
+``RANSAC_BLOCK`` while drawing each triple with the same ``rng.choice`` call.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .imaging import RgbImage
 
@@ -29,6 +35,7 @@ __all__ = [
 ]
 
 PATCH_RADIUS = 4  # descriptors are (2r+1) x (2r+1) intensity patches
+RANSAC_BLOCK = 128  # hypotheses scored per stacked block; bounds the (block, n, 2) temporaries
 
 
 @dataclass
@@ -115,12 +122,28 @@ def _nms3(r: np.ndarray) -> np.ndarray:
     return r >= best
 
 
+def _check_settings(
+    max_count: int = 1, ratio: float = 0.8, iterations: int = 1, inlier_px: float = 2.0
+) -> None:
+    """Reject a detection, matching or RANSAC setting no input could satisfy,
+    in pipeline order; the defaults of the ones a caller leaves out pass."""
+    if max_count < 1:
+        raise ValueError(f"keypoint count must be at least 1, got {max_count}")
+    if not 0 < ratio <= 1:
+        raise ValueError("ratio must be in (0, 1]")
+    if iterations < 1:
+        raise ValueError(f"RANSAC needs at least one iteration, got {iterations}")
+    if not (math.isfinite(inlier_px) and inlier_px > 0):
+        raise ValueError(f"inlier threshold must be finite and positive, got {inlier_px}")
+
+
 def detect_keypoints(img: RgbImage, max_count: int = 200, harris_k: float = 0.04) -> list[Keypoint]:
     """Harris corners, 3x3 non-max suppressed, strongest first.
 
     Descriptors are mean-subtracted 9x9 patches scaled to unit L2 norm; patches
     with no contrast are discarded.
     """
+    _check_settings(max_count=max_count)
     if img.height < 16 or img.width < 16:
         raise ValueError("image too small for keypoint detection (need 16x16)")
     gray = _to_gray(img)
@@ -140,24 +163,26 @@ def detect_keypoints(img: RgbImage, max_count: int = 200, harris_k: float = 0.04
     if len(ys) == 0:
         return []
     order = np.lexsort((xs, ys, -response[ys, xs]))[:max_count]
-    keypoints = []
-    for idx in order:
-        y, x = int(ys[idx]), int(xs[idx])
-        patch = gray[y - PATCH_RADIUS : y + PATCH_RADIUS + 1, x - PATCH_RADIUS : x + PATCH_RADIUS + 1]
-        d = patch.reshape(-1) - patch.mean()
-        norm = float(np.linalg.norm(d))
-        if norm < 1e-12:
-            continue
-        keypoints.append(Keypoint(float(x), float(y), float(response[y, x]), d / norm))
-    return keypoints
+    ys, xs = ys[order], xs[order]
+    side = 2 * PATCH_RADIUS + 1
+    patches = sliding_window_view(gray, (side, side))[ys - PATCH_RADIUS, xs - PATCH_RADIUS]
+    d = patches.reshape(len(order), -1) - patches.mean(axis=(1, 2))[:, None]
+    # a stacked matmul takes each row's dot product as np.linalg.norm does for one
+    # patch, so the norms are bit-identical (numpy 1.x has no np.vecdot)
+    norms = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    keep = np.flatnonzero(~(norms < 1e-12))
+    descriptors = d[keep] / norms[keep, None]
+    return [
+        Keypoint(float(xs[i]), float(ys[i]), float(response[ys[i], xs[i]]), desc)
+        for i, desc in zip(keep, descriptors)
+    ]
 
 
 def match_keypoints(
     a: list[Keypoint], b: list[Keypoint], ratio: float = 0.8
 ) -> list[tuple[int, int]]:
     """Lowe-ratio matches by exact brute-force descriptor distance."""
-    if not 0 < ratio <= 1:
-        raise ValueError("ratio must be in (0, 1]")
+    _check_settings(ratio=ratio)
     if not a or not b:
         return []
     da = np.stack([k.descriptor for k in a])
@@ -172,27 +197,28 @@ def match_keypoints(
     return [(int(i), int(nearest[i])) for i in np.flatnonzero(two[:, 0] < ratio * two[:, 1])]
 
 
-def _solve_affine_3pt(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
-    """Exact 6-dof affine through three point pairs via the 2x2 adjugate.
+def _solve_affine_3pt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 6-dof affines through stacked point triples via the 2x2 adjugate.
 
-    Returns None when the source triple is (near-)collinear.  Using the adjugate
-    keeps exact-identity correspondences bit-exact.
+    ``src`` and ``dst`` are (k, 3, 2).  Returns the (m, 2, 3) models of the
+    triples that are not (near-)collinear, and their m indices among the k.
+    Using the adjugate keeps exact-identity correspondences bit-exact.
     """
-    e1 = src[1] - src[0]
-    e2 = src[2] - src[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    if abs(det) < 1e-9:
-        return None
-    f1 = dst[1] - dst[0]
-    f2 = dst[2] - dst[0]
+    e1 = src[:, 1] - src[:, 0]
+    e2 = src[:, 2] - src[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    solved = np.flatnonzero(~(np.abs(det) < 1e-9))
+    src, dst, e1, e2, det = src[solved], dst[solved], e1[solved], e2[solved], det[solved]
+    f1 = dst[:, 1] - dst[:, 0]
+    f2 = dst[:, 2] - dst[:, 0]
     # columns of G = [f1 f2] @ adj([e1 e2]) / det
-    g00 = (f1[0] * e2[1] - f2[0] * e1[1]) / det
-    g01 = (f2[0] * e1[0] - f1[0] * e2[0]) / det
-    g10 = (f1[1] * e2[1] - f2[1] * e1[1]) / det
-    g11 = (f2[1] * e1[0] - f1[1] * e2[0]) / det
-    tx = dst[0, 0] - (g00 * src[0, 0] + g01 * src[0, 1])
-    ty = dst[0, 1] - (g10 * src[0, 0] + g11 * src[0, 1])
-    return np.array([[g00, g01, tx], [g10, g11, ty]])
+    g00 = (f1[:, 0] * e2[:, 1] - f2[:, 0] * e1[:, 1]) / det
+    g01 = (f2[:, 0] * e1[:, 0] - f1[:, 0] * e2[:, 0]) / det
+    g10 = (f1[:, 1] * e2[:, 1] - f2[:, 1] * e1[:, 1]) / det
+    g11 = (f2[:, 1] * e1[:, 0] - f1[:, 1] * e2[:, 0]) / det
+    tx = dst[:, 0, 0] - (g00 * src[:, 0, 0] + g01 * src[:, 0, 1])
+    ty = dst[:, 0, 1] - (g10 * src[:, 0, 0] + g11 * src[:, 0, 1])
+    return np.stack([g00, g01, tx, g10, g11, ty], axis=1).reshape(-1, 2, 3), solved
 
 
 def ransac_affine(
@@ -205,6 +231,13 @@ def ransac_affine(
     """Robust affine fit: 3-point hypotheses, consensus by reprojection distance,
     least-squares refit on the best consensus set (kept only when it strictly
     lowers the squared reprojection error, so exact hypotheses survive verbatim).
+
+    Hypothesis ``it`` is the ``it``-th ``rng.choice(n, 3, replace=False)`` draw;
+    the best has the most inliers, then the lowest inlier error sum, then the
+    lowest ``it``.  Hypotheses are drawn, solved and scored in blocks of
+    ``RANSAC_BLOCK`` as stacked arrays, which picks the same model as scoring
+    them one by one; a block whose best count is below the incumbent's is
+    skipped after its counts.
     """
     src = np.asarray(src_points, dtype=np.float64).reshape(-1, 2)
     dst = np.asarray(dst_points, dtype=np.float64).reshape(-1, 2)
@@ -213,32 +246,32 @@ def ransac_affine(
     n = src.shape[0]
     if n < 3:
         raise ValueError("need at least 3 point pairs")
-    if iterations < 1:
-        raise ValueError(f"RANSAC needs at least one iteration, got {iterations}")
-    if not (math.isfinite(inlier_px) and inlier_px > 0):
-        raise ValueError(f"inlier threshold must be finite and positive, got {inlier_px}")
+    _check_settings(iterations=iterations, inlier_px=inlier_px)
     rng = np.random.default_rng(seed)
     best_key = None
     best_model = None
     best_inliers = None
     solved = False
-    for it in range(iterations):
-        idx = rng.choice(n, size=3, replace=False)
-        model = _solve_affine_3pt(src[idx], dst[idx])
-        if model is None:
+    for start in range(0, iterations, RANSAC_BLOCK):
+        size = min(RANSAC_BLOCK, iterations - start)
+        idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(size)])
+        models, its = _solve_affine_3pt(src[idx], dst[idx])
+        if len(its) == 0:
             continue
         solved = True
-        proj = src @ model[:, :2].T + model[:, 2]
-        err = np.linalg.norm(proj - dst, axis=1)
+        proj = src @ models[:, :, :2].transpose(0, 2, 1) + models[:, None, :, 2]
+        err = np.linalg.norm(proj - dst, axis=2)
         inliers = err <= inlier_px
-        count = int(inliers.sum())
-        if count < 3:
+        counts = inliers.sum(axis=1)
+        count = int(counts.max())
+        if count < 3 or (best_key is not None and -count > best_key[0]):
             continue
-        key = (-count, float(err[inliers].sum()), it)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_model = model
-            best_inliers = inliers
+        for k in np.flatnonzero(counts == count):
+            key = (-count, float(err[k][inliers[k]].sum()), start + int(its[k]))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_model = models[k]
+                best_inliers = inliers[k]
     if best_model is None:
         if solved:
             raise ValueError(f"RANSAC failed: no hypothesis reached 3 inliers within {inlier_px} px")
@@ -275,7 +308,10 @@ def evaluate_alignment(
     inlier_px: float = 2.0,
     seed: int = 0,
 ) -> AlignmentReport:
-    """Full pipeline: detect, match, RANSAC affine, per-pixel displacement."""
+    """Full pipeline: detect, match, RANSAC affine, per-pixel displacement.
+
+    Every setting is checked before any detection runs."""
+    _check_settings(max_keypoints, ratio, iterations, inlier_px)
     kps_a = detect_keypoints(img_a, max_keypoints)
     kps_b = detect_keypoints(img_b, max_keypoints)
     matches = match_keypoints(kps_a, kps_b, ratio)

@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import textured_image
+from evseen import align
 from evseen.align import (
+    PATCH_RADIUS,
+    RANSAC_BLOCK,
     AffineTransform,
+    Keypoint,
+    _box3,
+    _nms3,
+    _smooth3,
     detect_keypoints,
     evaluate_alignment,
     match_keypoints,
@@ -26,6 +36,118 @@ def rotation_about_center(deg: float, width: int, height: int, tx: float = 0.0, 
             ]
         )
     )
+
+
+def loop_detect_keypoints(img: RgbImage, max_count: int, harris_k: float = 0.04) -> list[Keypoint]:
+    """``detect_keypoints`` with the per-keypoint descriptor loop that its
+    stacked patch gather replaces."""
+    gray = img.values.mean(axis=2)
+    gy, gx = np.gradient(_smooth3(gray))
+    sxx, syy, sxy = _box3(gx * gx), _box3(gy * gy), _box3(gx * gy)
+    response = (sxx * syy - sxy * sxy) - harris_k * (sxx + syy) ** 2
+    peaks = _nms3(response) & (response > 1e-9)
+    peaks[:PATCH_RADIUS, :] = peaks[-PATCH_RADIUS:, :] = False
+    peaks[:, :PATCH_RADIUS] = peaks[:, -PATCH_RADIUS:] = False
+    ys, xs = np.nonzero(peaks)
+    keypoints = []
+    for idx in np.lexsort((xs, ys, -response[ys, xs]))[:max_count]:
+        y, x = int(ys[idx]), int(xs[idx])
+        patch = gray[y - PATCH_RADIUS : y + PATCH_RADIUS + 1, x - PATCH_RADIUS : x + PATCH_RADIUS + 1]
+        d = patch.reshape(-1) - patch.mean()
+        norm = float(np.linalg.norm(d))
+        if norm < 1e-12:
+            continue
+        keypoints.append(Keypoint(float(x), float(y), float(response[y, x]), d / norm))
+    return keypoints
+
+
+def assert_keypoint_parity(img: RgbImage, max_count: int) -> None:
+    got, want = detect_keypoints(img, max_count), loop_detect_keypoints(img, max_count)
+    assert len(got) == len(want)
+    for field in ("x", "y", "response"):
+        assert np.array_equal([getattr(k, field) for k in got], [getattr(k, field) for k in want])
+    if want:
+        assert np.array_equal(np.stack([k.descriptor for k in got]), np.stack([k.descriptor for k in want]))
+
+
+def _solve_one(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+    e1, e2 = src[1] - src[0], src[2] - src[0]
+    det = e1[0] * e2[1] - e1[1] * e2[0]
+    if abs(det) < 1e-9:
+        return None
+    f1, f2 = dst[1] - dst[0], dst[2] - dst[0]
+    g00 = (f1[0] * e2[1] - f2[0] * e1[1]) / det
+    g01 = (f2[0] * e1[0] - f1[0] * e2[0]) / det
+    g10 = (f1[1] * e2[1] - f2[1] * e1[1]) / det
+    g11 = (f2[1] * e1[0] - f1[1] * e2[0]) / det
+    tx = dst[0, 0] - (g00 * src[0, 0] + g01 * src[0, 1])
+    ty = dst[0, 1] - (g10 * src[0, 0] + g11 * src[0, 1])
+    return np.array([[g00, g01, tx], [g10, g11, ty]])
+
+
+def sequential_ransac(src_points, dst_points, iterations=1000, inlier_px=2.0, seed=0) -> AffineTransform:
+    """The one-hypothesis-at-a-time loop that ``ransac_affine``'s blocked scoring replaces."""
+    src = np.asarray(src_points, dtype=np.float64).reshape(-1, 2)
+    dst = np.asarray(dst_points, dtype=np.float64).reshape(-1, 2)
+    if src.shape != dst.shape:
+        raise ValueError("source/destination point counts differ")
+    n = src.shape[0]
+    if n < 3:
+        raise ValueError("need at least 3 point pairs")
+    if iterations < 1:
+        raise ValueError(f"RANSAC needs at least one iteration, got {iterations}")
+    if not (math.isfinite(inlier_px) and inlier_px > 0):
+        raise ValueError(f"inlier threshold must be finite and positive, got {inlier_px}")
+    rng = np.random.default_rng(seed)
+    best_key = best_model = best_inliers = None
+    solved = False
+    for it in range(iterations):
+        idx = rng.choice(n, size=3, replace=False)
+        model = _solve_one(src[idx], dst[idx])
+        if model is None:
+            continue
+        solved = True
+        err = np.linalg.norm(src @ model[:, :2].T + model[:, 2] - dst, axis=1)
+        inliers = err <= inlier_px
+        count = int(inliers.sum())
+        if count < 3:
+            continue
+        key = (-count, float(err[inliers].sum()), it)
+        if best_key is None or key < best_key:
+            best_key, best_model, best_inliers = key, model, inliers
+    if best_model is None:
+        if solved:
+            raise ValueError(f"RANSAC failed: no hypothesis reached 3 inliers within {inlier_px} px")
+        raise ValueError("RANSAC failed: every sampled triple was collinear")
+    s_in, d_in = src[best_inliers], dst[best_inliers]
+    fit, *_ = np.linalg.lstsq(np.hstack([s_in, np.ones((len(s_in), 1))]), d_in, rcond=None)
+    refit = fit.T
+
+    def sse(model: np.ndarray) -> float:
+        return float(((s_in @ model[:, :2].T + model[:, 2] - d_in) ** 2).sum())
+
+    return AffineTransform(refit if sse(refit) < sse(best_model) else best_model)
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args).matrix.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_ransac_parity(src, dst, iterations, inlier_px, seed=0):
+    args = (src, dst, iterations, inlier_px, seed)
+    assert _outcome(ransac_affine, *args) == _outcome(sequential_ransac, *args)
+
+
+def affine_set(seed: int, n: int, outlier_fraction: float, noise: float = 0.0, grid: bool = False):
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 128, (n, 2)).astype(float) if grid else rng.uniform(0, 128, (n, 2))
+    dst = src @ np.array([[1.02, 0.03], [-0.03, 0.98]]) + np.array([2.5, -1.25]) + rng.normal(0, noise, (n, 2))
+    out = rng.random(n) < outlier_fraction
+    dst[out] = rng.uniform(0, 128, (int(out.sum()), 2))
+    return src, dst
 
 
 class TestDetect:
@@ -55,6 +177,36 @@ class TestDetect:
     def test_small_image_rejected(self):
         with pytest.raises(ValueError):
             detect_keypoints(RgbImage(np.zeros((8, 8, 3))))
+
+    @pytest.mark.parametrize("max_count", [0, -1, -5])
+    def test_non_positive_max_count_rejected(self, max_count):
+        with pytest.raises(ValueError, match=f"keypoint count must be at least 1, got {max_count}"):
+            detect_keypoints(textured_image(0, 32, 32), max_count)
+
+
+class TestDescriptorParity:
+    """``detect_keypoints`` against the per-keypoint loop: equal arrays, bit for bit."""
+
+    @pytest.mark.parametrize("max_count", [1, 7, 200, 5000])
+    def test_textures(self, max_count):
+        for seed in range(3):
+            assert_keypoint_parity(textured_image(seed, 64, 96), max_count)
+
+    def test_checkerboard_ties(self):
+        yy, xx = np.indices((48, 56))
+        board = ((yy // 6 % 2) ^ (xx // 6 % 2)).astype(float)
+        assert_keypoint_parity(RgbImage(np.stack([board] * 3, axis=-1)), 400)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        height=st.integers(16, 48),
+        width=st.integers(16, 48),
+        max_count=st.integers(1, 300),
+    )
+    def test_random_textures(self, seed, height, width, max_count):
+        rng = np.random.default_rng(seed)
+        assert_keypoint_parity(RgbImage(rng.uniform(0.0, 1.0, (height, width, 3))), max_count)
 
 
 class TestMatch:
@@ -163,6 +315,82 @@ class TestRansac:
             ransac_affine(src, src + 1.0, 50, inlier_px)
 
 
+class TestRansacParity:
+    """``ransac_affine`` against the sequential loop: the same matrix bytes, or
+    the same error type and message."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outliers(self, seed):
+        assert_ransac_parity(*affine_set(seed, 150, 0.4, noise=0.3), 1000, 2.0, seed)
+
+    def test_subpixel_coordinates(self):
+        src, dst = affine_set(10, 90, 0.2, noise=0.05)
+        assert_ransac_parity(src + 0.123456789, dst - 1e-7, 700, 0.25, 3)
+
+    def test_three_pairs(self):
+        src = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        assert_ransac_parity(src, src @ np.array([[1.2, -0.2], [0.3, 0.8]]) + 1.5, 50, 2.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_iteration(self, seed):
+        assert_ransac_parity(*affine_set(seed, 20, 0.3), 1, 2.0, seed)
+
+    def test_collinear_heavy(self):
+        src, dst = affine_set(4, 60, 0.1)
+        src[:55] = np.stack([np.arange(55.0), 2.0 * np.arange(55.0) + 1.0], axis=1)
+        assert_ransac_parity(src, dst, 500, 2.0, 1)
+        assert_ransac_parity(src[:55], dst[:55], 300, 2.0, 1)  # every triple collinear
+
+    def test_no_hypothesis_reaches_three_inliers(self):
+        src, dst = affine_set(5, 30, 0.0, noise=1.0)
+        assert_ransac_parity(src, dst, 300, 1e-300, 0)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_many_tied_best_counts(self, noise):
+        # integer grid points under a pure shift: every hypothesis through
+        # three inliers counts every inlier, so the err sum and then the
+        # iteration break the ties
+        src, _ = affine_set(6, 80, 0.0, grid=True)
+        dst = src + np.array([3.0, -2.0]) + np.random.default_rng(6).normal(0, noise, src.shape)
+        dst[::7] += 40.0
+        assert_ransac_parity(src, dst, 600, 2.0, 2)
+
+    @pytest.mark.parametrize("order_seed", [14, 73, 110])
+    def test_error_sums_that_round_by_order(self, order_seed):
+        # two translations, 60 px apart, each with three exact pairs, one
+        # 0.5 px miss and three 4e-17 px misses: equal error sums in exact
+        # arithmetic, so the tie is decided by how the inlier errors are
+        # summed (a sum over a zero-filled row picks the other translation
+        # for these orders)
+        base = [(1.0, 0.0, 0.0), (2.0, 3.0, 0.0), (5.0, 1.0, 0.0), (3.0, 4.0, 0.5)]
+        base += [(0.0, 2.0 + i, 4e-17) for i in range(3)]
+        pts = np.array([(x, y + 10 * g, x + d, y + 70 * g) for g in (0, 1) for x, y, d in base])
+        pts = pts[np.random.default_rng(order_seed).permutation(len(pts))]
+        assert_ransac_parity(pts[:, :2], pts[:, 2:], 300, 1.0)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * RANSAC_BLOCK + 5])
+    def test_more_hypotheses_than_one_block(self, extra):
+        assert_ransac_parity(*affine_set(7, 70, 0.5, noise=0.4), RANSAC_BLOCK + extra, 1.0, 5)
+
+    def test_identity_pairs(self):
+        src, _ = affine_set(8, 100, 0.0)
+        assert_ransac_parity(src, src.copy(), 1000, 2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 60),
+        iterations=st.integers(1, 3 * RANSAC_BLOCK),
+        inlier_px=st.sampled_from([1e-300, 0.5, 2.0, 8.0]),
+        outlier_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        noise=st.sampled_from([0.0, 0.5]),
+        grid=st.booleans(),
+    )
+    def test_random_sets(self, seed, n, iterations, inlier_px, outlier_fraction, noise, grid):
+        src, dst = affine_set(seed, n, outlier_fraction, noise, grid)
+        assert_ransac_parity(src, dst, iterations, inlier_px, seed % 1000)
+
+
 class TestDisplacement:
     def test_identity_zero(self):
         mean_px, max_px = mean_displacement(AffineTransform.identity(), 64, 48)
@@ -199,6 +427,32 @@ class TestDisplacement:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_keypoints": 0}, "keypoint count must be at least 1, got 0"),
+            ({"max_keypoints": -5}, "keypoint count must be at least 1, got -5"),
+            ({"ratio": 0.0}, "ratio must be in (0, 1]"),
+            ({"ratio": 1.5}, "ratio must be in (0, 1]"),
+            ({"ratio": float("nan")}, "ratio must be in (0, 1]"),
+            ({"iterations": 0}, "RANSAC needs at least one iteration, got 0"),
+            ({"iterations": -3}, "RANSAC needs at least one iteration, got -3"),
+            ({"inlier_px": float("nan")}, "inlier threshold must be finite and positive, got nan"),
+            ({"inlier_px": float("inf")}, "inlier threshold must be finite and positive, got inf"),
+            ({"inlier_px": 0.0}, "inlier threshold must be finite and positive, got 0.0"),
+            ({"inlier_px": -1.0}, "inlier threshold must be finite and positive, got -1.0"),
+        ],
+    )
+    def test_settings_rejected_before_detection(self, monkeypatch, kwargs, message):
+        def unreachable(*args, **kw):
+            raise AssertionError("detect_keypoints ran before the settings were checked")
+
+        monkeypatch.setattr(align, "detect_keypoints", unreachable)
+        img = textured_image(4, 32, 32)
+        with pytest.raises(ValueError) as caught:
+            evaluate_alignment(img, img, **kwargs)
+        assert str(caught.value) == message
+
     def test_identity_pair_exact_zero(self):
         img = textured_image(4)
         report = evaluate_alignment(img, img)

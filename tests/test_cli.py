@@ -228,6 +228,13 @@ class TestEvalAlignCli:
         line = f"{report.mean_px!r},{report.max_px!r},{report.inlier_count},{report.match_count}\n"
         assert capsys.readouterr().out == line
         assert out.read_text() == report.transform.to_line() + "\n"
+        # computed with the per-hypothesis RANSAC loop and per-keypoint descriptor
+        # loop, so any change to the stacked code's arithmetic shows here
+        assert line == "1.7007810487281525,3.4117904056142265,128,180\n"
+        assert out.read_text() == (
+            "1.0000598240644003,-0.02588939147717229,2.9472927017575397,"
+            "0.025239945793400723,1.0001675925461773,-1.4999125790421224\n"
+        )
 
     def test_zero_iterations_exits_2(self, tmp_path, capsys):
         path = tmp_path / "img.ppm"
@@ -237,6 +244,16 @@ class TestEvalAlignCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "domain error: RANSAC needs at least one iteration, got 0\n"
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_non_positive_max_keypoints_exits_2(self, tmp_path, capsys, count):
+        path = tmp_path / "img.ppm"
+        formats.write_ppm(textured_image(3, 64, 64), path)
+        code = main(["eval-align", "--image-a", str(path), "--image-b", str(path), "--max-keypoints", count])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: keypoint count must be at least 1, got {count}\n"
 
 
 class TestPairCli:
