@@ -1,10 +1,11 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Float64 throughout, numpy broadcasting between the operands of ``add``,
-``sub`` and ``mul`` (a python scalar folds into the op; the backward pass sums
-each gradient back to its input's shape), and exactly the primitive set the
-enhancement network needs: whole-tensor means, and attention and layer norm
-as one tape node each with an analytic backward.  Nodes are recorded with a
+Float64 throughout, numpy broadcasting between the operands of ``add`` and
+``mul`` (a python scalar folds into the op; the backward pass sums each
+gradient back to its input's shape), and exactly the primitive set the
+enhancement network needs: matmul, reshape, last-axis concat and softmax,
+relu, sigmoid, whole-tensor means, and attention, layer norm and the training
+loss as one tape node each with an analytic backward.  Nodes are recorded with a
 global sequence number; the backward pass walks the reachable tape once in
 reverse creation order, which is always a valid topological order.  A node
 points only at its inputs, never at its output, so a tape is freed as soon as
@@ -29,13 +30,11 @@ __all__ = [
     "layer_norm",
     "reshape",
     "concat_lastdim",
-    "slice_axis",
     "softmax_lastdim",
     "relu",
     "sigmoid",
     "mean",
-    "absolute",
-    "sqrt",
+    "charbonnier_gradient_loss",
     "grad_check",
     "max_grad_error",
     "collect_tape",
@@ -116,15 +115,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -192,16 +182,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return _make(a.data - float(b), (a,), lambda g: (g,))
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         scalar = float(b)
@@ -234,20 +214,6 @@ def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
         return tuple(np.split(g, splits, axis=-1))
 
     return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), backward)
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    index = [slice(None)] * a.data.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    shape = a.shape
-
-    def backward(g):
-        full = np.zeros(shape)
-        full[index] = g
-        return (full,)
-
-    return _make(a.data[index].copy(), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -327,19 +293,38 @@ def mean(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.mean()), (a,), lambda g: (np.broadcast_to(g / a.size, a.shape).copy(),))
 
 
-def absolute(a: Tensor) -> Tensor:
-    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise ValueError("sqrt of negative values")
-    root = np.sqrt(a.data)
+def charbonnier_gradient_loss(pred: Tensor, target: np.ndarray, lambda1: float, lambda2: float, epsilon: float) -> Tensor:
+    """The training loss of an (H, W, C) prediction against a constant target, as
+    one tape node: ``lambda1`` times the mean sqrt(d^2 + epsilon^2) of d = pred -
+    target (Charbonnier et al. 1994), plus ``lambda2`` times the mean |forward
+    difference of d| over both axes of the full grid (zero on the far border)."""
+    target = np.asarray(target, dtype=np.float64)
+    if pred.data.ndim != 3 or target.shape != pred.shape:
+        raise ValueError(f"loss shape mismatch: pred {pred.shape}, target {target.shape}")
+    diff = pred.data - target
+    root = np.sqrt(diff * diff + epsilon * epsilon)
+    terms = []  # (axis, forward-difference error, its share of the full grid)
+    grad_term = 0.0
+    for axis in (0, 1):
+        if diff.shape[axis] > 1:
+            r = np.diff(pred.data, axis=axis) - np.diff(target, axis=axis)
+            frac = r.size / (2.0 * diff.size)
+            grad_term += np.abs(r).mean() * frac
+            terms.append((axis, r, frac))
 
     def backward(g):
-        return (g * 0.5 / root,)
+        # axis 0, then axis 1, then the image term, with q * diff added twice: the
+        # rounding order that keeps loss curves bit-identical to earlier versions
+        dpred = np.zeros(diff.shape)
+        for axis, r, frac in terms:
+            s = g * lambda2 * frac / r.size * np.sign(r)
+            dpred[(slice(None),) * axis + (slice(None, -1),)] -= s
+            dpred[(slice(None),) * axis + (slice(1, None),)] += s
+        q = g * lambda1 / diff.size * 0.5 / root
+        dpred += q * diff + q * diff
+        return (dpred,)
 
-    return _make(root, (a,), backward)
+    return _make(np.asarray(root.mean() * lambda1 + grad_term * lambda2), (pred,), backward)
 
 
 def max_grad_error(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

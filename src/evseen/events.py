@@ -164,7 +164,7 @@ def voxelize(stream: EventStream, bins: int, t_start: int, t_end: int) -> VoxelG
     if bins < 1:
         raise ValueError("need at least one bin")
     if t_end <= t_start:
-        raise ValueError("empty time window")
+        raise ValueError(f"empty time window: t_end {t_end} <= t_start {t_start}")
     grid = np.zeros((stream.height, stream.width, bins), dtype=np.float64)
     if len(stream) == 0:
         return VoxelGrid(grid, t_start, t_end)
@@ -188,13 +188,16 @@ def voxelize_stream(
     """Voxelize over the stream's own time span, or over the bounds given.
 
     A missing bound falls back to the first (last) timestamp, or 0 (1) for an
-    empty stream; the window is widened to at least one microsecond.
+    empty stream.  Only a window taken wholly from the stream is widened to at
+    least one microsecond; a window with a given bound and ``t_end <= t_start``
+    is a ValueError.
     """
+    widen = t_start is None and t_end is None
     if t_start is None:
         t_start = int(stream.ts.min()) if len(stream) else 0
     if t_end is None:
         t_end = int(stream.ts.max()) if len(stream) else 1
-    return voxelize(stream, bins, t_start, max(t_end, t_start + 1))
+    return voxelize(stream, bins, t_start, max(t_end, t_start + 1) if widen else t_end)
 
 
 def position_embedding(width: int, height: int, order: BayerOrder, dim: int) -> np.ndarray:

@@ -6,7 +6,8 @@ cross-attention block fuses them, and a weight-shared two-block loop refines the
 fused feature into the broad light-range representation; a scalar brightness
 prompt is embedded to a channel vector and merged into every layer of a
 pixel-wise MLP decoder.  Training minimizes a Charbonnier image term plus an L1
-forward-difference gradient term.
+forward-difference gradient term, one ``autodiff.charbonnier_gradient_loss``
+node on the tape.
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ class SeeNetConfig:
             raise ValueError("voxel_bins must be >= 1")
         if self.prompt_merge not in ("add", "multiply"):
             raise ValueError("prompt_merge must be 'add' or 'multiply'")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lambda1, self.lambda2)):
+            raise ValueError("lambda1 and lambda2 must be finite and >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and positive")
         BayerOrder(self.bayer)
 
 
@@ -361,37 +364,11 @@ def forward(
 # loss
 
 
-def _loss_tensor(pred: Tensor, target: np.ndarray, lambda1: float, lambda2: float, epsilon: float) -> Tensor:
-    h, w, _ = pred.shape
-    t = Tensor(target)
-    diff = pred - t
-    image_term = ad.mean(ad.sqrt(diff * diff + epsilon * epsilon))
-
-    def grad_mean(axis: int, extent: int) -> Tensor:
-        p_hi = ad.slice_axis(pred, axis, 1, extent)
-        p_lo = ad.slice_axis(pred, axis, 0, extent - 1)
-        t_hi = ad.slice_axis(t, axis, 1, extent)
-        t_lo = ad.slice_axis(t, axis, 0, extent - 1)
-        return ad.mean(ad.absolute((p_hi - p_lo) - (t_hi - t_lo)))
-
-    # forward differences are zero on the far border, so the full-grid mean is the
-    # sliced mean rescaled by the populated fraction
-    total = 2.0 * h * w * 3
-    grad_term = Tensor(np.asarray(0.0))
-    if w > 1:
-        grad_term = grad_term + grad_mean(1, w) * (h * (w - 1) * 3 / total)
-    if h > 1:
-        grad_term = grad_term + grad_mean(0, h) * ((h - 1) * w * 3 / total)
-    return image_term * lambda1 + grad_term * lambda2
-
-
 def loss(
     i_o: RgbImage, i_t: RgbImage, lambda1: float = 1.0, lambda2: float = 0.5, epsilon: float = 1e-3
 ) -> float:
     """Charbonnier image term plus L1 forward-difference gradient term."""
-    if i_o.values.shape != i_t.values.shape:
-        raise ValueError("image shapes differ")
-    return float(_loss_tensor(Tensor(i_o.values), i_t.values, lambda1, lambda2, epsilon).data)
+    return float(ad.charbonnier_gradient_loss(Tensor(i_o.values), i_t.values, lambda1, lambda2, epsilon).data)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +416,7 @@ def train_toy(
         voxels = voxel_cache[id(input_rec)]
         prompt = brightness(target)
         pred = _forward_tensor(img, voxels, prompt, config, params, pos_cache[key])
-        step_loss = _loss_tensor(pred, target.values, config.lambda1, config.lambda2, config.epsilon)
+        step_loss = ad.charbonnier_gradient_loss(pred, target.values, config.lambda1, config.lambda2, config.epsilon)
         value = float(step_loss.data)
         if not math.isfinite(value):
             raise ArithmeticError(f"non-finite loss at step {step}")
@@ -472,6 +449,9 @@ def load_params(path) -> tuple[SeeNetParams, SeeNetConfig]:
 
     arrays, text = formats.load_checkpoint(path)
     config = formats.config_from_text(text, SeeNetConfig)
+    stored, needed = sum(a.size for a in arrays.values()), parameter_count(config)
+    if stored < needed:
+        raise formats.FormatError(f"checkpoint stores {stored} values, its config needs {needed}")
     params = init_params(config)
     for name, tensor in params.named_tensors():
         if name not in arrays:
@@ -520,7 +500,7 @@ def end_to_end_grad_errors(
 
     def objective(_t: Tensor) -> Tensor:
         pred = _forward_tensor(img, grid, 0.5, config, params, pos)
-        return _loss_tensor(pred, target, config.lambda1, config.lambda2, config.epsilon)
+        return ad.charbonnier_gradient_loss(pred, target, config.lambda1, config.lambda2, config.epsilon)
 
     errors: dict[str, float] = {}
     for name, tensor in params.named_tensors():

@@ -154,6 +154,20 @@ class TestSimulateVoxelize:
         grid = formats.read_evsf(vox / "voxels.evsf")
         assert grid.shape == (16, 16, 8)
 
+    @pytest.mark.parametrize("bounds", [("50000", "10000"), ("10000", "10000"), ("1000000000", None)])
+    def test_reversed_window_exits_2_and_writes_nothing(self, field_file, tmp_path, capsys, bounds):
+        """A window with a bound the caller gives is never widened: t_end <= t_start
+        (the end here taken from the stream when only --t-start is given) exits 2."""
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--field", str(field_file), "--threshold", "0.2", "--out", str(sim)]) == 0
+        vox = tmp_path / "vox"
+        window = ["--t-start", bounds[0]] + (["--t-end", bounds[1]] if bounds[1] else [])
+        code = main(["voxelize", "--events", str(sim / "events.evt0"), *window, "--out", str(vox)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: empty time window: t_end ") and err.endswith(f" <= t_start {bounds[0]}\n")
+        assert not vox.exists()
+
     def test_idempotent_outputs(self, field_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -486,6 +500,9 @@ class TestEnhanceBoundaries:
             (b"heads=[1\n", "'heads' at line 1"),
             (b"channels='8'\n", "'channels' at line 1"),
             (b"bayer='\xff'\n", "not UTF-8 at byte 7"),
+            (b"lambda1=-1.0\n", "lambda1 and lambda2 must be finite and >= 0"),
+            (b"lambda2=1e999\n", "lambda1 and lambda2 must be finite and >= 0"),
+            (b"epsilon=1e999\n", "epsilon must be finite and positive"),
         ],
     )
     def test_bad_config_file_exits_3(self, tmp_path, text, message, capsys):
@@ -493,6 +510,19 @@ class TestEnhanceBoundaries:
         cfg.write_bytes(text)
         assert main(["train-toy", "--steps", "1", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 3
         assert message in capsys.readouterr().err
+
+    def test_undersized_checkpoint_exits_3(self, tmp_path):
+        """A checkpoint of 3 values whose config asks for a million channels is
+        refused before the parameters are allocated: one line, no traceback."""
+        img_path, ev_path = enhance_files(tmp_path)
+        ckpt = tmp_path / "model.evck"
+        formats.save_checkpoint([("x", np.zeros(3))], formats.config_to_text(seenet.SeeNetConfig(channels=1_000_000)), ckpt)
+        out = tmp_path / "out"
+        proc = run_cli("enhance", "--input", img_path, "--events", ev_path, "--checkpoint", ckpt, "--out", out, timeout=60)
+        needed = seenet.parameter_count(seenet.SeeNetConfig(channels=1_000_000))
+        assert proc.returncode == 3
+        assert proc.stderr == f"i/o error: checkpoint stores 3 values, its config needs {needed}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -32,7 +32,8 @@ from evseen.formats import (
 from evseen.imaging import RawImage, RgbImage
 from evseen.imu import ImuSequence, Registration
 from evseen.pairing import synth_scene
-from evseen.seenet import SeeNetConfig, init_params, load_params, save_params
+from evseen import seenet
+from evseen.seenet import SeeNetConfig, init_params, load_params, parameter_count, save_params
 
 
 def sample_stream(seed=0, n=64) -> EventStream:
@@ -281,6 +282,27 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{named[1][0]} has shape"):
             load_params(p)
 
+    @pytest.mark.parametrize("channels, short", [(4, 1), (1_000_000, None)])
+    def test_undersized_checkpoint_rejected_before_allocating(self, tmp_path, monkeypatch, channels, short):
+        """A checkpoint holding fewer values than its config's parameter count is
+        a FormatError before any parameter is allocated."""
+        cfg = SeeNetConfig(channels=channels, heads=2, loop_count=1, decoder_layers=2, voxel_bins=2, pos_dim=3)
+        if short is None:
+            named = [("x", np.zeros(3))]
+        else:
+            named = [(name, t.data) for name, t in init_params(cfg).named_tensors()]
+            named[-1] = (named[-1][0], named[-1][1][:-short])
+        stored = sum(arr.size for _, arr in named)
+        p = tmp_path / "a.evck"
+        save_checkpoint(named, config_to_text(cfg), p)
+
+        def no_allocation(config):
+            raise AssertionError("parameters allocated")
+
+        monkeypatch.setattr(seenet, "init_params", no_allocation)
+        with pytest.raises(FormatError, match=f"checkpoint stores {stored} values, its config needs {parameter_count(cfg)}"):
+            load_params(p)
+
     def test_config_text_round_trip(self):
         from evseen.seenet import SeeNetConfig
 
@@ -458,7 +480,19 @@ class TestConfigText:
         with pytest.raises(FormatError, match=message):
             config_from_text(text, SeeNetConfig)
 
-    @pytest.mark.parametrize("text", ["heads=0\n", "channels=0\n", "channels=15\n", "bayer='XYZW'\n", "epsilon=0\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "heads=0\n",
+            "channels=0\n",
+            "channels=15\n",
+            "bayer='XYZW'\n",
+            "epsilon=0\n",
+            "lambda1=-1.0\n",
+            "lambda2=1e999\n",
+            "epsilon=1e999\n",
+        ],
+    )
     def test_values_the_config_rejects(self, text):
         with pytest.raises(FormatError, match="config rejected"):
             config_from_text(text, SeeNetConfig)

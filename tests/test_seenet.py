@@ -299,6 +299,19 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(RgbImage(np.zeros((4, 4, 3))), RgbImage(np.zeros((4, 6, 3))))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lambda1", -1.0), ("lambda1", float("nan")), ("lambda2", -0.5), ("lambda2", float("inf")),
+         ("epsilon", 0.0), ("epsilon", float("nan")), ("epsilon", float("inf"))],
+    )
+    def test_config_rejects_bad_loss_weights(self, field, value):
+        message = "epsilon must be finite and positive" if field == "epsilon" else "lambda1 and lambda2 must be finite"
+        with pytest.raises(ValueError, match=message):
+            SeeNetConfig(**{field: value})
+
+    def test_config_accepts_zero_weights(self):
+        assert SeeNetConfig(lambda1=0.0, lambda2=0.0).lambda1 == 0.0
+
 
 class TestForward:
     def test_output_shape_and_range(self):
@@ -397,7 +410,7 @@ class TestTape:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            step_loss = seenet._loss_tensor(_forward_tensor(img, grid, 0.5, CFG, params, pos), target, 1.0, 0.5, 1e-3)
+            step_loss = ad.charbonnier_gradient_loss(_forward_tensor(img, grid, 0.5, CFG, params, pos), target, 1.0, 0.5, 1e-3)
             step_loss.backward()
             alive_after_backward = sum(w() is not None for w in weights)
             del step_loss
@@ -413,6 +426,14 @@ class TestTape:
         img, grid, pos = toy_inputs(18, h=16, w=16, cfg=cfg)
         pred = _forward_tensor(img, grid, 0.5, cfg, init_params(cfg), pos)
         assert len(ad.collect_tape(pred).nodes) < 300
+
+    def test_taped_step_adds_one_node_for_the_loss(self):
+        cfg = SeeNetConfig()
+        img, grid, pos = toy_inputs(18, h=16, w=16, cfg=cfg)
+        pred = _forward_tensor(img, grid, 0.5, cfg, init_params(cfg), pos)
+        target = np.random.default_rng(18).uniform(0, 1, img.values.shape)
+        step_loss = ad.charbonnier_gradient_loss(pred, target, cfg.lambda1, cfg.lambda2, cfg.epsilon)
+        assert len(ad.collect_tape(step_loss).nodes) == len(ad.collect_tape(pred).nodes) + 1
 
 
 class TestTraining:
