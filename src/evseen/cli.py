@@ -20,6 +20,7 @@ from .events import simulate_events, voxelize_stream
 from .imaging import RadianceField, RgbImage
 
 USAGE_EXIT, DOMAIN_EXIT, IO_EXIT, NUMERIC_EXIT = 1, 2, 3, 4
+_ENHANCED_NAME = "enhanced_{:.2f}.ppm"  # one output per prompt, named to two decimals
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,6 +184,12 @@ def _parse_sweep(spec: str) -> list[float]:
     while v <= b + 1e-9:
         values.append(round(v, 10))
         v += step
+    named: dict[str, float] = {}
+    for v in values:
+        name = _ENHANCED_NAME.format(v)
+        if name in named:
+            raise ValueError(f"sweep prompts {named[name]} and {v} would both be written to {name}")
+        named[name] = v
     return values
 
 
@@ -244,7 +251,7 @@ def _cmd_enhance(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for value, image in zip(prompts, rendered):
-        out_path = out_dir / f"enhanced_{value:.2f}.ppm"
+        out_path = out_dir / _ENHANCED_NAME.format(value)
         formats.write_ppm(image, out_path)
         outputs.append(out_path)
     if len(prompts) > 1:
@@ -367,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return NUMERIC_EXIT
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, MemoryError) as exc:  # MemoryError: an input asked for more than the host can give
         sys.stderr.write(f"domain error: {exc}\n")
         return DOMAIN_EXIT
 

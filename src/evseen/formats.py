@@ -391,19 +391,20 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
     pos += cfg_len
     (count,) = _unpack("<I", raw, pos, "checkpoint entry count")
     pos += 4
-    entries = []
+    entries: dict[str, int] = {}
     for _ in range(count):
+        entry_pos = pos
         (name_len,) = _unpack("<H", raw, pos, "checkpoint name length")
         pos += 2
         name = _utf8(_take(raw, pos, name_len, "checkpoint name"), pos, "checkpoint name")
         pos += name_len
         (offset,) = _unpack("<Q", raw, pos, "checkpoint offset")
         pos += 8
-        entries.append((name, offset))
-    arrays: dict[str, np.ndarray] = {}
-    for i, (name, offset) in enumerate(entries):
-        end = entries[i + 1][1] if i + 1 < len(entries) else len(raw)
-        arrays[name] = evsf_from_bytes(raw[offset:end])
+        if name in entries:
+            raise FormatError(f"checkpoint index entry at byte {entry_pos} repeats the name {name!r}")
+        entries[name] = offset
+    ends = [*list(entries.values())[1:], len(raw)]
+    arrays = {name: evsf_from_bytes(raw[offset:end]) for (name, offset), end in zip(entries.items(), ends)}
     return arrays, config_text
 
 
@@ -424,6 +425,8 @@ def config_from_text(text: str, cls):
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in defaults:
             raise FormatError(f"unknown config key {key!r} at line {lineno}")
+        if key in kwargs:
+            raise FormatError(f"config key {key!r} at line {lineno} is given twice")
         try:
             kwargs[key] = ast.literal_eval(value)
         except (ValueError, SyntaxError) as exc:

@@ -3,11 +3,11 @@
 Architecture: per-pixel linear heads lift the image and the event voxel grid
 (each concatenated with a positional/Bayer feature) to a shared width; a
 cross-attention block fuses them, and a weight-shared two-block loop refines the
-fused feature into the broad light-range representation; a scalar brightness
-prompt is embedded to a channel vector and merged into every layer of a
-pixel-wise MLP decoder.  Training minimizes a Charbonnier image term plus an L1
-forward-difference gradient term, one ``autodiff.charbonnier_gradient_loss``
-node on the tape.
+fused feature into the broad light-range representation (each block's keys and
+values are projected once per encode); a scalar brightness prompt is embedded to
+a channel vector and merged into every layer of a pixel-wise MLP decoder.
+Training minimizes a Charbonnier image term plus an L1 forward-difference
+gradient term, one ``autodiff.charbonnier_gradient_loss`` node on the tape.
 """
 
 from __future__ import annotations
@@ -216,17 +216,21 @@ def _layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     return ad.layer_norm(x, p.gamma, p.beta, LAYER_NORM_EPS)
 
 
-def attention_mix(query_flat: Tensor, kv_flat: Tensor, block: AttentionBlockParams, heads: int) -> Tensor:
-    """Multi-head softmax mixing term before the output projection."""
-    qn = _layer_norm(query_flat, block.ln_q)
+def project_memory(kv_flat: Tensor, block: AttentionBlockParams) -> tuple[Tensor, Tensor]:
     kn = _layer_norm(kv_flat, block.ln_kv)
+    return _linear(kn, block.wk), _linear(kn, block.wv)
+
+
+def attention_mix(query_flat: Tensor, kv: tuple[Tensor, Tensor], block: AttentionBlockParams, heads: int) -> Tensor:
+    """Multi-head softmax mixing term before the output projection; ``kv`` is the block's ``project_memory``."""
+    qn = _layer_norm(query_flat, block.ln_q)
     d = query_flat.shape[1] // heads
     q = _linear(qn, block.wq) * (1.0 / math.sqrt(d))  # the logits' 1/sqrt(d), folded into q
-    return ad.attention(q, _linear(kn, block.wk), _linear(kn, block.wv), heads)
+    return ad.attention(q, *kv, heads)
 
 
-def _cross_attention(query_flat: Tensor, kv_flat: Tensor, block: AttentionBlockParams, heads: int) -> Tensor:
-    mix = attention_mix(query_flat, kv_flat, block, heads)
+def _cross_attention(query_flat: Tensor, kv: tuple[Tensor, Tensor], block: AttentionBlockParams, heads: int) -> Tensor:
+    mix = attention_mix(query_flat, kv, block, heads)
     x = query_flat + _linear(mix, block.wo)
     ff = _linear(ad.relu(_linear(_layer_norm(x, block.ln_ff), block.ff1)), block.ff2)
     return x + ff
@@ -259,15 +263,17 @@ def input_heads(
 def encode(f_e: Tensor, f_i: Tensor, config: SeeNetConfig, params: SeeNetParams) -> BlrFeature:
     """Fuse then refine: F_1 = fuse(image queries events); each loop iteration
     queries the running feature over the events, then the result over F_1.  Loop
-    weights are shared across iterations."""
+    weights are shared across iterations; each block projects its keys and values once."""
     h, w, c = f_i.shape
     e_flat = ad.reshape(f_e, (f_e.shape[0] * f_e.shape[1], c))
     i_flat = ad.reshape(f_i, (h * w, c))
-    f_1 = _cross_attention(i_flat, e_flat, params.fuse, config.heads)
+    f_1 = _cross_attention(i_flat, project_memory(e_flat, params.fuse), params.fuse, config.heads)
+    events_kv = project_memory(e_flat, params.loop_event)
+    anchor_kv = project_memory(f_1, params.loop_anchor)
     f_j = f_1
     for j in range(config.loop_count):
-        a = _cross_attention(f_j, e_flat, params.loop_event, config.heads)
-        f_j = _cross_attention(a, f_1, params.loop_anchor, config.heads)
+        a = _cross_attention(f_j, events_kv, params.loop_event, config.heads)
+        f_j = _cross_attention(a, anchor_kv, params.loop_anchor, config.heads)
         if not np.all(np.isfinite(f_j.data)):
             raise FloatingPointError(f"non-finite encoder feature at loop iteration {j}")
     return BlrFeature(ad.reshape(f_j, (h, w, c)))
@@ -453,7 +459,11 @@ def load_params(path) -> tuple[SeeNetParams, SeeNetConfig]:
     if stored < needed:
         raise formats.FormatError(f"checkpoint stores {stored} values, its config needs {needed}")
     params = init_params(config)
-    for name, tensor in params.named_tensors():
+    layout = dict(params.named_tensors())
+    surplus = [name for name in arrays if name not in layout]
+    if surplus:
+        raise formats.FormatError(f"checkpoint array {surplus[0]} is not a parameter of its config")
+    for name, tensor in layout.items():
         if name not in arrays:
             raise formats.FormatError(f"checkpoint missing parameter {name}")
         if arrays[name].shape != tensor.data.shape:

@@ -168,6 +168,18 @@ class TestSimulateVoxelize:
         assert err.startswith("domain error: empty time window: t_end ") and err.endswith(f" <= t_start {bounds[0]}\n")
         assert not vox.exists()
 
+    def test_unallocatable_grid_exits_2_and_writes_nothing(self, field_file, tmp_path):
+        """10^12 bins over a 16x16 sensor ask for 1.82 PiB, more than any host can map,
+        so numpy refuses at once: one line, no traceback."""
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--field", str(field_file), "--threshold", "0.2", "--out", str(sim)]) == 0
+        vox = tmp_path / "vox"
+        proc = run_cli("voxelize", "--events", sim / "events.evt0", "--bins", 10**12, "--out", vox, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("domain error: ") and proc.stderr.count("\n") == 1
+        assert "PiB" in proc.stderr
+        assert not vox.exists()
+
     def test_idempotent_outputs(self, field_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -503,6 +515,7 @@ class TestEnhanceBoundaries:
             (b"lambda1=-1.0\n", "lambda1 and lambda2 must be finite and >= 0"),
             (b"lambda2=1e999\n", "lambda1 and lambda2 must be finite and >= 0"),
             (b"epsilon=1e999\n", "epsilon must be finite and positive"),
+            (b"channels=16\nchannels=32\n", "'channels' at line 2 is given twice"),
         ],
     )
     def test_bad_config_file_exits_3(self, tmp_path, text, message, capsys):
@@ -524,6 +537,21 @@ class TestEnhanceBoundaries:
         assert proc.stderr == f"i/o error: checkpoint stores 3 values, its config needs {needed}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["surplus", "duplicate"])
+    def test_checkpoint_outside_its_layout_exits_3(self, trained_dir, tmp_path, fault, capsys):
+        img_path, ev_path = enhance_files(tmp_path)
+        arrays, text = formats.load_checkpoint(trained_dir / "checkpoint.evck")
+        named = list(arrays.items())
+        named.append(("bogus", np.zeros(7)) if fault == "surplus" else named[0])
+        ckpt = tmp_path / "model.evck"
+        formats.save_checkpoint(named, text, ckpt)
+        out = tmp_path / "out"
+        assert enhance(img_path, ev_path, ckpt, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert ("bogus" if fault == "surplus" else repr(named[0][0])) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -535,6 +563,7 @@ class TestEnhanceBoundaries:
             ("0.7:0.3:0.1", "0 < start <= stop < 1"),
             ("0.3:0.7:-0.1", "at least 0.01"),
             ("0.3:0.5:1e-20", "at least 0.01"),
+            ("0.015:0.99:0.01", "sweep prompts 0.035 and 0.045 would both be written to enhanced_0.04.ppm"),
         ],
     )
     def test_bad_sweep_exits_2_and_writes_nothing(self, trained_dir, tmp_path, spec, message):

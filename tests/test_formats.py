@@ -282,6 +282,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{named[1][0]} has shape"):
             load_params(p)
 
+    def test_surplus_array_rejected(self, tmp_path):
+        cfg = SeeNetConfig(channels=4, heads=2, loop_count=1, decoder_layers=2, voxel_bins=2, pos_dim=3)
+        named = [(name, t.data) for name, t in init_params(cfg).named_tensors()] + [("bogus", np.zeros(7))]
+        p = tmp_path / "a.evck"
+        save_checkpoint(named, config_to_text(cfg), p)
+        with pytest.raises(FormatError, match="checkpoint array bogus is not a parameter of its config"):
+            load_params(p)
+
+    def test_duplicate_name_names_its_index_offset(self, tmp_path):
+        named = [("a.w", np.ones((2, 2))), ("a.b", np.zeros(2)), ("a.w", np.zeros((2, 2)))]
+        p = tmp_path / "a.evck"
+        save_checkpoint(named, "k=1\n", p)
+        # magic, config length, config text, entry count, then (u16 length, name, u64 offset) per entry
+        offset = 4 + 4 + len("k=1\n") + 4 + sum(2 + len(name) + 8 for name, _ in named[:2])
+        with pytest.raises(FormatError, match=f"checkpoint index entry at byte {offset} repeats the name 'a.w'"):
+            load_checkpoint(p)
+
     @pytest.mark.parametrize("channels, short", [(4, 1), (1_000_000, None)])
     def test_undersized_checkpoint_rejected_before_allocating(self, tmp_path, monkeypatch, channels, short):
         """A checkpoint holding fewer values than its config's parameter count is
@@ -474,6 +491,7 @@ class TestConfigText:
             ("heads\n", "config key 'heads' at line 1"),
             ("channels='16'\n", "config key 'channels' at line 1: expected int"),
             ("lambda1=True\n", "config key 'lambda1' at line 1: expected float"),
+            ("channels=16\nchannels=32\n", "config key 'channels' at line 2 is given twice"),
         ],
     )
     def test_bad_lines_name_line_and_key(self, text, message):

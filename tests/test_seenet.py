@@ -16,6 +16,7 @@ from evseen.seenet import (
     BrightnessPrompt,
     SeeNetConfig,
     attention_mix,
+    project_memory,
     count_instantiated,
     decode,
     encode,
@@ -98,7 +99,7 @@ class TestCrossAttention:
         q = Tensor(rng.normal(size=(10, CFG.channels)))
         kv_row = rng.normal(size=CFG.channels)
         kv = Tensor(np.tile(kv_row, (10, 1)))
-        mix = attention_mix(q, kv, params.fuse, CFG.heads)
+        mix = attention_mix(q, project_memory(kv, params.fuse), params.fuse, CFG.heads)
         assert np.allclose(mix.data, mix.data[0])
 
     def test_uniform_logits_average_values(self):
@@ -110,7 +111,7 @@ class TestCrossAttention:
         rng = np.random.default_rng(1)
         q = Tensor(rng.normal(size=(7, CFG.channels)))
         kv = Tensor(rng.normal(size=(7, CFG.channels)))
-        mix = attention_mix(q, kv, params.fuse, CFG.heads)
+        mix = attention_mix(q, project_memory(kv, params.fuse), params.fuse, CFG.heads)
         from evseen.seenet import _layer_norm, _linear
 
         values = _linear(_layer_norm(kv, params.fuse.ln_kv), params.fuse.wv)
@@ -121,7 +122,7 @@ class TestCrossAttention:
         rng = np.random.default_rng(2)
         q = Tensor(rng.normal(size=(1, CFG.channels)))
         kv = Tensor(rng.normal(size=(1, CFG.channels)))
-        mix = attention_mix(q, kv, params.fuse, CFG.heads)
+        mix = attention_mix(q, project_memory(kv, params.fuse), params.fuse, CFG.heads)
         from evseen.seenet import _layer_norm, _linear
 
         values = _linear(_layer_norm(kv, params.fuse.ln_kv), params.fuse.wv)
@@ -146,9 +147,9 @@ class TestEncode:
         out = encode(f_e, f_i, cfg1, params).tensor
         h, w, c = f_i.shape
         e_flat = ad.reshape(f_e, (h * w, c))
-        f_1 = _cross_attention(ad.reshape(f_i, (h * w, c)), e_flat, params.fuse, CFG.heads)
-        a = _cross_attention(f_1, e_flat, params.loop_event, CFG.heads)
-        manual = _cross_attention(a, f_1, params.loop_anchor, CFG.heads)
+        f_1 = _cross_attention(ad.reshape(f_i, (h * w, c)), project_memory(e_flat, params.fuse), params.fuse, CFG.heads)
+        a = _cross_attention(f_1, project_memory(e_flat, params.loop_event), params.loop_event, CFG.heads)
+        manual = _cross_attention(a, project_memory(f_1, params.loop_anchor), params.loop_anchor, CFG.heads)
         assert (out.data == manual.data.reshape(h, w, c)).all()
 
     def test_three_loops_equal_reference_unroll(self):
@@ -161,11 +162,11 @@ class TestEncode:
         out = encode(f_e, f_i, cfg3, params).tensor
         h, w, c = f_i.shape
         e_flat = ad.reshape(f_e, (h * w, c))
-        f_1 = _cross_attention(ad.reshape(f_i, (h * w, c)), e_flat, params.fuse, CFG.heads)
+        f_1 = _cross_attention(ad.reshape(f_i, (h * w, c)), project_memory(e_flat, params.fuse), params.fuse, CFG.heads)
         f_j = f_1
-        for _ in range(3):
-            a = _cross_attention(f_j, e_flat, params.loop_event, CFG.heads)
-            f_j = _cross_attention(a, f_1, params.loop_anchor, CFG.heads)
+        for _ in range(3):  # the unrolled loop projects each memory anew in every iteration
+            a = _cross_attention(f_j, project_memory(e_flat, params.loop_event), params.loop_event, CFG.heads)
+            f_j = _cross_attention(a, project_memory(f_1, params.loop_anchor), params.loop_anchor, CFG.heads)
         assert (out.data == f_j.data.reshape(h, w, c)).all()
 
     def test_zeroed_output_projections_leave_residual_identity(self):
@@ -182,9 +183,17 @@ class TestEncode:
 
         h, w, c = f_i.shape
         f_1 = _cross_attention(
-            ad.reshape(f_i, (h * w, c)), ad.reshape(f_e, (h * w, c)), params.fuse, CFG.heads
+            ad.reshape(f_i, (h * w, c)), project_memory(ad.reshape(f_e, (h * w, c)), params.fuse), params.fuse, CFG.heads
         )
         assert (out.data.reshape(h * w, c) == f_1.data).all()
+
+    @pytest.mark.parametrize("loop_count", [1, 2, 5])
+    def test_each_block_projects_its_memory_once(self, monkeypatch, loop_count):
+        params = init_params(CFG)
+        f_e, f_i = input_heads(*toy_inputs(8), params)
+        calls = count_calls(monkeypatch, seenet, "project_memory")
+        encode(f_e, f_i, SeeNetConfig(**{**CFG.__dict__, "loop_count": loop_count}), params)
+        assert [id(call[1]) for call in calls] == [id(params.fuse), id(params.loop_event), id(params.loop_anchor)]
 
 
 class TestPromptEmbed:
@@ -421,11 +430,11 @@ class TestTape:
         assert alive_after_backward == len(weights) == 1 + 2 * CFG.loop_count
         assert alive_after_drop == 0
 
-    def test_toy_forward_records_under_300_nodes(self):
+    def test_toy_forward_records_under_200_nodes(self):
         cfg = SeeNetConfig()
         img, grid, pos = toy_inputs(18, h=16, w=16, cfg=cfg)
         pred = _forward_tensor(img, grid, 0.5, cfg, init_params(cfg), pos)
-        assert len(ad.collect_tape(pred).nodes) < 300
+        assert len(ad.collect_tape(pred).nodes) < 200
 
     def test_taped_step_adds_one_node_for_the_loss(self):
         cfg = SeeNetConfig()
