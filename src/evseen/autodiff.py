@@ -5,12 +5,12 @@ Float64 throughout, numpy broadcasting between the operands of ``add`` and
 gradient back to its input's shape), and exactly the primitive set the
 enhancement network needs: matmul, reshape, last-axis concat and softmax,
 relu, sigmoid, whole-tensor means, and attention, layer norm and the training
-loss as one tape node each with an analytic backward.  Nodes are recorded with a
-global sequence number; the backward pass walks the reachable tape once in
-reverse creation order, which is always a valid topological order.  A node
-points only at its inputs, never at its output, so a tape is freed as soon as
-its last output tensor is dropped.  Inside ``no_grad()`` nothing is recorded,
-so inference keeps no tape.
+loss as one tape node each with an analytic backward, attention in blocks of
+``ATTENTION_BLOCK`` logits.  Nodes are recorded with a global sequence number;
+the backward pass walks the reachable tape once in reverse creation order,
+which is always a valid topological order.  A node points only at its inputs,
+never at its output, so a tape is freed as soon as its last output tensor is
+dropped.  Inside ``no_grad()`` nothing is recorded, so inference keeps no tape.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
 
 _SEQ = itertools.count()
 _RECORDING = True  # switched off by no_grad()
+ATTENTION_BLOCK = 1 << 17  # logits per block of attention query rows: 1 MiB of float64, cache-sized
 
 
 class _Node:
@@ -247,26 +248,37 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """softmax(q_h k_h^T) v_h for each head's block of C / heads columns of the
-    (N, C) queries and (M, C) keys and values, as one tape node.  One head's
-    N x M probabilities exist at a time: the backward pass recomputes them."""
+    (N, C) queries and (M, C) keys and values, as one tape node, over blocks of
+    max(1, ATTENTION_BLOCK // M) query rows: one block's probabilities exist at a
+    time, and the backward recomputes them and adds each block's share to dk, dv."""
     if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:] or heads < 1 or q.shape[1] % heads:
         raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
     d = q.shape[1] // heads
     cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
+    step = max(1, ATTENTION_BLOCK // max(1, k.shape[0]))
+    rows = [slice(i, i + step) for i in range(0, q.shape[0], step)]
 
     def blocks(c: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return q.data[:, c].copy(), k.data[:, c].T.copy(), v.data[:, c].copy()
 
-    out = np.hstack([_softmax_(qh @ kh_t) @ vh for qh, kh_t, vh in map(blocks, cols)])
+    out = np.empty(q.shape)
+    for c, (qh, kh_t, vh) in zip(cols, map(blocks, cols)):
+        for r in rows:
+            out[r, c] = _softmax_(qh[r] @ kh_t) @ vh
 
     def backward(g):
         dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         for c, (qh, kh_t, vh) in zip(cols, map(blocks, cols)):
-            p = _softmax_(qh @ kh_t)
-            dlogits = _softmax_backward(g[:, c] @ vh.T, p)
-            dq[:, c] = dlogits @ kh_t.T
-            dk[:, c] = (qh.T @ dlogits).T
-            dv[:, c] = p.T @ g[:, c]
+            for r in rows:
+                p = _softmax_(qh[r] @ kh_t)
+                dlogits = _softmax_backward(g[r, c] @ vh.T, p)
+                dq[r, c] = dlogits @ kh_t.T
+                dk_r, dv_r = (qh[r].T @ dlogits).T, p.T @ g[r, c]
+                if r.start:  # later blocks add their share; the first assigns, sparing a zero fill and an add
+                    dk[:, c] += dk_r
+                    dv[:, c] += dv_r
+                else:
+                    dk[:, c], dv[:, c] = dk_r, dv_r
         return dq, dk, dv
 
     return _make(out, (q, k, v), backward)

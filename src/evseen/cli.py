@@ -346,8 +346,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--prompt", type=float, default=None)
-    p.add_argument("--prompt-sweep", default=None, dest="prompt_sweep", help="start:stop:step")
+    prompts = p.add_mutually_exclusive_group()
+    prompts.add_argument("--prompt", type=float, default=None)
+    prompts.add_argument("--prompt-sweep", default=None, dest="prompt_sweep", help="start:stop:step")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_enhance)
 

@@ -357,7 +357,19 @@ _CKPT_MAGIC = b"EVCK"
 
 
 def save_checkpoint(named_arrays: list[tuple[str, np.ndarray]], config_text: str, path: str | Path) -> None:
-    """Index of name -> offset followed by one EVSF container per parameter."""
+    """Index of name -> offset followed by one EVSF container per parameter.
+
+    Raises OverflowError, before anything is written, for a value that is not
+    finite as float32."""
+
+    def finite_as_f4(arr) -> bool:
+        with np.errstate(over="ignore"):
+            return bool(np.isfinite(np.asarray(arr, dtype=np.float64).astype("<f4")).all())
+
+    # one pass over every value; the per-parameter search runs only to name a culprit
+    if named_arrays and not finite_as_f4(np.concatenate([np.ravel(arr) for _, arr in named_arrays])):
+        name = next(name for name, arr in named_arrays if not finite_as_f4(arr))
+        raise OverflowError(f"checkpoint parameter {name} has a value that is not finite as float32")
     blobs = [(name, evsf_bytes(arr)) for name, arr in named_arrays]
     index_size = 4 + 4 + len(config_text.encode()) + 4
     for name, _ in blobs:
@@ -405,6 +417,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str]:
         entries[name] = offset
     ends = [*list(entries.values())[1:], len(raw)]
     arrays = {name: evsf_from_bytes(raw[offset:end]) for (name, offset), end in zip(entries.items(), ends)}
+    if arrays and not np.isfinite(np.concatenate([arr.ravel() for arr in arrays.values()])).all():
+        name, arr = next((name, arr) for name, arr in arrays.items() if not np.isfinite(arr).all())
+        # EVSF magic and rank, one u32 per dimension, then 4 bytes per value
+        at = entries[name] + 8 + 4 * arr.ndim + 4 * int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise FormatError(f"checkpoint parameter {name} holds a non-finite value at byte {at}")
     return arrays, config_text
 
 

@@ -4,6 +4,7 @@ exposure scalings (the synthetic analogue of swapping ND filters)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,8 @@ def synth_scene(
     Event streams are simulated from the scaled radiance, so they agree across
     scales wherever the scaled radiance stays above the log floor.
     """
-    if any(s <= 0 for s in lighting_scales):
-        raise ValueError("lighting scales must be positive")
+    if not all(math.isfinite(s) and s > 0 for s in lighting_scales):
+        raise ValueError(f"lighting scales must be finite and positive, got {lighting_scales}")
     rng = np.random.default_rng(seed)
     field = _procedural_field(rng, width, height, frames)
     recordings = []

@@ -261,6 +261,18 @@ def test_criterion_6_gradient_suite():
         for lambda1, lambda2, epsilon in [(1.3, 0.7, 1e-3), (0.1, 3.3, 1e-3), (1.0, 0.5, 0.3)]:
             f = lambda t: ad.charbonnier_gradient_loss(t, target, lambda1, lambda2, epsilon)
             worst_prim = max(worst_prim, max_grad_error(f, x, h=1e-5))
+    # attention with more queries than one block: 7 queries over 3 keys run in
+    # blocks of 3, 3 and 1 rows while the block size is patched down
+    block_rng = np.random.default_rng(101)
+    many = Tensor(block_rng.normal(size=(7, 4)))
+    keys = Tensor(block_rng.normal(size=(3, 4)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "ATTENTION_BLOCK", 9)
+        for x, f in [
+            (many, lambda t: ad.mean(ad.attention(t, keys, keys * 0.5, 2) * many)),
+            (keys, lambda t: ad.mean(ad.attention(many, t, t * 0.5, 2) * many)),
+        ]:
+            worst_prim = max(worst_prim, max_grad_error(f, Tensor(x.data.copy(), requires_grad=True), h=1e-5))
 
     from evseen.seenet import end_to_end_grad_errors
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import evseen.autodiff as ad
+from conftest import count_calls
 from evseen.autodiff import Tensor, collect_tape, grad_check, max_grad_error
 
 
@@ -146,7 +149,11 @@ class TestAttention:
             out.append(p @ v[:, cols].copy())
         return np.concatenate(out, axis=1)
 
-    @pytest.mark.parametrize("n, m, c, heads", [(5, 5, 4, 1), (5, 7, 4, 2), (6, 3, 4, 4), (1, 9, 6, 3), (16, 16, 16, 2)])
+    @pytest.mark.parametrize(
+        "n, m, c, heads",
+        # the last two run 8 blocks of 128 query rows per head at the real ATTENTION_BLOCK
+        [(5, 5, 4, 1), (5, 7, 4, 2), (6, 3, 4, 4), (1, 9, 6, 3), (16, 16, 16, 2), (1024, 1024, 16, 2), (1024, 1024, 248, 8)],
+    )
     def test_forward_equals_per_head_reference(self, n, m, c, heads):
         q, k, v = rand((n, c), 40), rand((m, c), 41), rand((m, c), 42)
         out = ad.attention(q, k, v, heads)
@@ -166,6 +173,36 @@ class TestAttention:
 
             x = Tensor((q, k, v)[role].data.copy())
             assert max_grad_error(f, x) < 1e-6, (role, heads)
+
+    def test_query_blocks_with_short_last_block(self, monkeypatch):
+        # 12 logits per block over 4 keys: blocks of 3, 3, 3 and 2 query rows
+        monkeypatch.setattr(ad, "ATTENTION_BLOCK", 12)
+        softmaxes = count_calls(monkeypatch, ad, "_softmax_")
+        q, k, v = rand((11, 6), 49), rand((4, 6), 50), rand((4, 6), 51)
+        out = ad.attention(q, k, v, 2)
+        assert [a[0].shape for a in softmaxes] == [(3, 4), (3, 4), (3, 4), (2, 4)] * 2
+        assert np.abs(out.data - self.reference(q.data, k.data, v.data, 2)).max() < 1e-12
+        with ad.no_grad():
+            assert np.array_equal(ad.attention(q, k, v, 2).data, out.data)
+        w = Tensor(np.random.default_rng(52).normal(size=(11, 6)))
+        for role in range(3):
+            def f(t, role=role):
+                args = [q, k, v]
+                args[role] = t
+                return ad.mean(ad.attention(*args, 2) * w)
+
+            assert max_grad_error(f, Tensor((q, k, v)[role].data.copy())) < 1e-6, role
+
+    def test_inference_memory_is_one_block(self):
+        q, k, v = (np.random.default_rng(s).normal(size=(2048, 16)) for s in (53, 54, 55))
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                ad.attention(Tensor(q), Tensor(k), Tensor(v), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # one head's 2048 x 2048 logits alone are 32 MiB
 
     def test_one_tape_node(self):
         q, k = rand((3, 4), 47), rand((5, 4), 48)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -295,6 +296,13 @@ class TestPairCli:
         pairs = (out / "pairs.csv").read_text().strip().split("\n")
         assert len(pairs) == 10  # header + 9
 
+    @pytest.mark.parametrize("scales, shown", [("inf,1", "(inf, 1.0)"), ("nan,1", "(nan, 1.0)"), ("0.5,-1", "(0.5, -1.0)")])
+    def test_bad_scales_exit_2_naming_them(self, tmp_path, scales, shown):
+        proc = run_cli("pair", "--synth-seed", "1", "--scales", scales, "--out", tmp_path / "scene", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"domain error: lighting scales must be finite and positive, got {shown}\n"
+        assert not (tmp_path / "scene" / "scene.txt").exists()
+
     def test_pair_from_manifest(self, tmp_path, capsys):
         out = tmp_path / "scene"
         assert main(["pair", "--synth-seed", "5", "--scales", "0.25,0.75,1.0,1.25", "--out", str(out)]) == 0
@@ -550,6 +558,37 @@ class TestEnhanceBoundaries:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert ("bogus" if fault == "surplus" else repr(named[0][0])) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, bad", [("decoder.0.w", np.nan), ("prompt_out.b", np.nan), ("fuse.wq.w", np.inf)])
+    def test_non_finite_checkpoint_exits_3(self, trained_dir, tmp_path, name, bad):
+        """A NaN in the first decoder layer would pass through its relu unseen;
+        every non-finite value is refused at load, naming its parameter and byte."""
+        img_path, ev_path = enhance_files(tmp_path)
+        arrays, text = formats.load_checkpoint(trained_dir / "checkpoint.evck")
+        arrays[name].flat[0] = 12345.0  # a marker no trained weight takes
+        ckpt = tmp_path / "model.evck"
+        formats.save_checkpoint(list(arrays.items()), text, ckpt)
+        raw = ckpt.read_bytes()
+        at = raw.find(struct.pack("<f", 12345.0))
+        ckpt.write_bytes(raw[:at] + struct.pack("<f", bad) + raw[at + 4 :])
+        out = tmp_path / "out"
+        proc = run_cli("enhance", "--input", img_path, "--events", ev_path, "--checkpoint", ckpt, "--out", out, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == f"i/o error: checkpoint parameter {name} holds a non-finite value at byte {at}\n"
+        assert not out.exists()
+
+    def test_prompt_and_sweep_exclusive(self, trained_dir, tmp_path):
+        img_path, ev_path = enhance_files(tmp_path)
+        out = tmp_path / "out"
+        proc = run_cli(
+            "enhance", "--input", img_path, "--events", ev_path, "--checkpoint", trained_dir / "checkpoint.evck",
+            "--prompt", "0.5", "--prompt-sweep", "0.3:0.4:0.1", "--out", out, timeout=60,
+        )
+        assert proc.returncode == 1
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith(("usage:", " "))]
+        assert errors == ["error: argument --prompt-sweep: not allowed with argument --prompt"]
+        assert proc.stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(

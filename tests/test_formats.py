@@ -1,4 +1,6 @@
 import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +300,28 @@ class TestCheckpoint:
         offset = 4 + 4 + len("k=1\n") + 4 + sum(2 + len(name) + 8 for name, _ in named[:2])
         with pytest.raises(FormatError, match=f"checkpoint index entry at byte {offset} repeats the name 'a.w'"):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_parameter_and_byte(self, tmp_path, bad):
+        named = [("a.w", np.ones((2, 3))), ("a.b", np.array([0.5, 12345.0, 0.25]))]
+        p = tmp_path / "a.evck"
+        save_checkpoint(named, "k=1\n", p)
+        raw = p.read_bytes()
+        at = raw.find(struct.pack("<f", 12345.0))
+        p.write_bytes(raw[:at] + struct.pack("<f", bad) + raw[at + 4 :])
+        # index, a.w's 40-byte EVSF blob, a.b's 12-byte EVSF header, then its second value
+        assert at == 4 + 4 + len("k=1\n") + 4 + (2 + 3 + 8) * 2 + 40 + 12 + 4
+        with pytest.raises(FormatError, match=f"checkpoint parameter a.b holds a non-finite value at byte {at}"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -3.5e38])
+    def test_value_not_finite_as_float32_refused_before_writing(self, tmp_path, bad):
+        p = tmp_path / "a.evck"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy cast warning either
+            with pytest.raises(OverflowError, match="checkpoint parameter a.b has a value that is not finite as float32"):
+                save_checkpoint([("a.w", np.ones(2)), ("a.b", np.array([0.5, bad]))], "k=1\n", p)
+        assert not p.exists()
 
     @pytest.mark.parametrize("channels, short", [(4, 1), (1_000_000, None)])
     def test_undersized_checkpoint_rejected_before_allocating(self, tmp_path, monkeypatch, channels, short):

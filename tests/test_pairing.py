@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,7 @@ class TestSynth:
             else:
                 assert rec.lighting_class == "high"
 
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            synth_scene(0, lighting_scales=(0.5, 0.0))
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_nonpositive_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"lighting scales must be finite and positive, got \(0\.5, "):
+            synth_scene(0, lighting_scales=(0.5, bad))
