@@ -1,16 +1,19 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Float64 throughout, numpy broadcasting between the operands of ``add`` and
-``mul`` (a python scalar folds into the op; the backward pass sums each
-gradient back to its input's shape), and exactly the primitive set the
-enhancement network needs: matmul, reshape, last-axis concat and softmax,
-relu, sigmoid, whole-tensor means, and attention, layer norm and the training
-loss as one tape node each with an analytic backward, attention in blocks of
-``ATTENTION_BLOCK`` logits.  Nodes are recorded with a global sequence number;
-the backward pass walks the reachable tape once in reverse creation order,
-which is always a valid topological order.  A node points only at its inputs,
-never at its output, so a tape is freed as soon as its last output tensor is
-dropped.  Inside ``no_grad()`` nothing is recorded, so inference keeps no tape.
+Float64, except that a tensor made from float32 data stays float32 through
+every primitive of the network's forward (a python scalar operand takes the
+array's dtype), so float32 parameters run a float32 forward.  Numpy
+broadcasting between the operands of ``add`` and ``mul`` (a python scalar folds
+into the op; the backward pass sums each gradient back to its input's shape),
+and exactly the primitive set the enhancement network needs: matmul, reshape,
+last-axis concat and softmax, relu, sigmoid, whole-tensor means, and
+attention, layer norm and the training loss as one tape node each with an
+analytic backward, attention in blocks of ``ATTENTION_BLOCK`` logits.  Nodes
+are recorded with a global sequence number; the backward pass walks the
+reachable tape once in reverse creation order, which is always a valid
+topological order.  A node points only at its inputs, never at its output, so
+a tape is freed as soon as its last output tensor is dropped.  Inside
+``no_grad()`` nothing is recorded, so inference keeps no tape.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ __all__ = [
 
 _SEQ = itertools.count()
 _RECORDING = True  # switched off by no_grad()
-ATTENTION_BLOCK = 1 << 17  # logits per block of attention query rows: 1 MiB of float64, cache-sized
+ATTENTION_BLOCK = 1 << 17  # logits per block of attention query rows: 1 MiB of float64 or 512 KiB of float32, cache-sized
+_FLOAT32 = np.dtype(np.float32)
 
 
 class _Node:
@@ -75,7 +79,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # float32 data stays float32, anything else becomes float64; the dtype test
+        # is one attribute lookup, so the float64 path costs about what it did
+        self.data = np.asarray(data) if getattr(data, "dtype", None) is _FLOAT32 else np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None
@@ -261,13 +267,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def blocks(c: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return q.data[:, c].copy(), k.data[:, c].T.copy(), v.data[:, c].copy()
 
-    out = np.empty(q.shape)
+    out = np.empty(q.shape, q.data.dtype)
     for c, (qh, kh_t, vh) in zip(cols, map(blocks, cols)):
         for r in rows:
             out[r, c] = _softmax_(qh[r] @ kh_t) @ vh
 
     def backward(g):
-        dq, dk, dv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        dq, dk, dv = (np.empty(t.shape, q.data.dtype) for t in (q, k, v))
         for c, (qh, kh_t, vh) in zip(cols, map(blocks, cols)):
             for r in rows:
                 p = _softmax_(qh[r] @ kh_t)

@@ -119,19 +119,20 @@ def _cmd_eval_align(ns: argparse.Namespace) -> int:
 
 
 def _cmd_pair(ns: argparse.Namespace) -> int:
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs: list[Path] = []
     if ns.synth_seed is not None:
         scales = tuple(float(s) for s in ns.scales.split(","))
         recordings = pairing.synth_scene(ns.synth_seed, scales)
-        formats.write_scene_manifest(recordings, out_dir / "scene.txt")
     elif ns.manifest is not None:
         inputs.append(Path(ns.manifest))
         recordings = formats.read_scene_manifest(ns.manifest)
     else:
         raise ValueError("pair requires either --synth-seed or --manifest")
     pair_set = pairing.enumerate_pairs(recordings)
+    out_dir = Path(ns.out)  # made only once the scene is in hand: bad input leaves nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if ns.synth_seed is not None:  # a synthesized scene is written beside its pairs
+        formats.write_scene_manifest(recordings, out_dir / "scene.txt")
     pairs_path = out_dir / "pairs.csv"
     lines = ["input_index,target_index"] + [f"{i},{t}" for i, t in pair_set.pairs]
     pairs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -8,6 +8,8 @@ values are projected once per encode); a scalar brightness prompt is embedded to
 a channel vector and merged into every layer of a pixel-wise MLP decoder.
 Training minimizes a Charbonnier image term plus an L1 forward-difference
 gradient term, one ``autodiff.charbonnier_gradient_loss`` node on the tape.
+Training runs in float64; inference (``forward_prompts``) in float32, on a
+float32 copy of the parameters.
 """
 
 from __future__ import annotations
@@ -161,6 +163,16 @@ class SeeNetParams:
         return out
 
 
+def _astype(value, dtype):
+    """A copy of a parameter tree (walked as ``named_tensors`` walks it) whose
+    tensors hold their data as ``dtype``; the original is left untouched."""
+    if isinstance(value, Tensor):
+        return Tensor(value.data.astype(dtype))
+    if isinstance(value, list):
+        return [_astype(item, dtype) for item in value]
+    return type(value)(**{f.name: _astype(getattr(value, f.name), dtype) for f in fields(value)})
+
+
 def _init_linear(rng: np.random.Generator, n_in: int, n_out: int) -> LinearParams:
     w = rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_in, n_out))
     return LinearParams(Tensor(w, requires_grad=True), Tensor(np.zeros(n_out), requires_grad=True))
@@ -238,7 +250,7 @@ def _cross_attention(query_flat: Tensor, kv: tuple[Tensor, Tensor], block: Atten
 
 def _head(stack: np.ndarray, l1: LinearParams, l2: LinearParams) -> Tensor:
     h, w, cin = stack.shape
-    x = Tensor(stack.reshape(h * w, cin))
+    x = Tensor(stack.reshape(h * w, cin).astype(l1.w.data.dtype, copy=False))
     out = _linear(ad.relu(_linear(x, l1)), l2)
     return ad.reshape(out, (h, w, out.shape[1]))
 
@@ -284,7 +296,7 @@ def prompt_embed(prompt: "BrightnessPrompt | float", params: SeeNetParams) -> Te
     the raw prompt, outer linear map."""
     value = prompt.value if isinstance(prompt, BrightnessPrompt) else float(prompt)
     BrightnessPrompt(value)  # range check
-    b = Tensor(np.array([[value]]))
+    b = Tensor(np.array([[value]], params.prompt_in.w.data.dtype))
     hidden = ad.relu(_linear(b, params.prompt_in))
     cat = ad.concat_lastdim([hidden, b])
     out = _linear(cat, params.prompt_out)
@@ -306,8 +318,12 @@ def _decode_tensor(
 
 def decode(blr: BlrFeature, b_vec: Tensor, config: SeeNetConfig, params: SeeNetParams) -> RgbImage:
     """Pixel-wise MLP decoder; the prompt embedding is merged into every layer
-    and the final layer lands in [0, 1] through a sigmoid."""
-    return RgbImage(_decode_tensor(blr, b_vec, config, params).data)
+    and the final layer lands in [0, 1] through a sigmoid.  The image is float64
+    whatever the parameters' dtype."""
+    values = _decode_tensor(blr, b_vec, config, params).data
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("non-finite decoder output")
+    return RgbImage(values)
 
 
 def encode_image(
@@ -344,13 +360,19 @@ def forward_prompts(
     params: SeeNetParams,
     pos: np.ndarray | None = None,
 ) -> list[RgbImage]:
-    """Encode once, then decode once per prompt; records no autodiff tape.
+    """Encode once, then decode once per prompt, in float32 on a float32 copy of
+    ``params``; records no autodiff tape.
 
-    Every prompt is range-checked before the encoder runs."""
-    with ad.no_grad():
+    Every prompt is range-checked before the encoder runs.  An activation past
+    float32 range raises ``FloatingPointError`` (one message, no numpy warnings)."""
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        params = _astype(params, np.float32)
         b_vecs = [prompt_embed(p, params) for p in prompts]
-        blr = encode_image(img, voxels, config, params, pos)
-        return [decode(blr, b_vec, config, params) for b_vec in b_vecs]
+        try:
+            blr = encode_image(img, voxels, config, params, pos)
+            return [decode(blr, b_vec, config, params) for b_vec in b_vecs]
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} (inference runs in float32)") from None
 
 
 def forward(

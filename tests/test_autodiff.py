@@ -452,3 +452,48 @@ class TestNoGrad:
         with ad.no_grad():
             ad.mean(ad.softmax_lastdim(x) * x)
         assert max_grad_error(lambda t: ad.mean(ad.softmax_lastdim(t) * t), x) < 1e-6
+
+
+class TestFloat32:
+    """Float32 tensors stay float32 through every primitive the network's
+    forward uses, python-scalar operands included; anything else is float64."""
+
+    @staticmethod
+    def f32(shape, seed):
+        return Tensor(np.random.default_rng(seed).normal(size=shape).astype(np.float32))
+
+    OPS = {
+        "add": lambda a, b: a + b,
+        "add_scalar": lambda a, b: a + 1.5,
+        "mul": lambda a, b: a * b,
+        "mul_scalar": lambda a, b: a * 0.3,
+        "matmul": lambda a, b: ad.matmul(a, ad.reshape(b, (4, 3))),
+        "reshape": lambda a, b: ad.reshape(a, (a.size,)),
+        "concat_lastdim": lambda a, b: ad.concat_lastdim([a, b]),
+        "relu": lambda a, b: ad.relu(a),
+        "sigmoid": lambda a, b: ad.sigmoid(a),
+        "layer_norm": lambda a, b: ad.layer_norm(ad.reshape(a, (1, 12)), ad.reshape(b, (12,)), ad.reshape(b, (12,)), 1e-5),
+        "attention": lambda a, b: ad.attention(a, b, b * 0.5, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_primitive_keeps_float32(self, name):
+        assert self.OPS[name](self.f32((3, 4), 40), self.f32((3, 4), 41)).data.dtype == np.float32
+
+    def test_attention_backward_keeps_float32(self):
+        q, k, v = (Tensor(np.random.default_rng(s).normal(size=(5, 4)).astype(np.float32), requires_grad=True) for s in (42, 43, 44))
+        out = ad.attention(q, k, v, 2)
+        assert [g.dtype for g in out._node.backward(np.ones(out.shape, np.float32))] == [np.float32] * 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.ones(3), np.ones(3, np.float16), np.ones(3, ">f4"), np.arange(3), [1.0, 2.0], 2.0, np.float64(2.0)],
+        ids=["float64", "float16", "big_endian_float32", "int", "list", "float", "numpy_float64"],
+    )
+    def test_anything_but_float32_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    def test_float32_kept_without_copy(self):
+        data = np.ones((2, 3), np.float32)
+        assert Tensor(data).data is data
+        assert Tensor(np.float32(2.0)).data.dtype == np.float32

@@ -303,6 +303,14 @@ class TestPairCli:
         assert proc.stderr == f"domain error: lighting scales must be finite and positive, got {shown}\n"
         assert not (tmp_path / "scene" / "scene.txt").exists()
 
+    @pytest.mark.parametrize("fault, code", [("scales", 2), ("manifest", 3)])
+    def test_bad_input_leaves_no_directory(self, tmp_path, capsys, fault, code):
+        source = {"scales": ["--synth-seed", "1", "--scales", "inf,1"], "manifest": ["--manifest", str(tmp_path / "absent.txt")]}
+        out = tmp_path / "scene"
+        assert main(["pair", *source[fault], "--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_pair_from_manifest(self, tmp_path, capsys):
         out = tmp_path / "scene"
         assert main(["pair", "--synth-seed", "5", "--scales", "0.25,0.75,1.0,1.25", "--out", str(out)]) == 0
@@ -576,6 +584,20 @@ class TestEnhanceBoundaries:
         proc = run_cli("enhance", "--input", img_path, "--events", ev_path, "--checkpoint", ckpt, "--out", out, timeout=60)
         assert proc.returncode == 3
         assert proc.stderr == f"i/o error: checkpoint parameter {name} holds a non-finite value at byte {at}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prefix, where", [("head_image_", "encoder feature at loop iteration 0"), ("decoder.", "decoder output")])
+    def test_float32_overflow_exits_4_in_one_line(self, trained_dir, tmp_path, prefix, where):
+        """Weights that are finite as float32 but whose activations are not end
+        in one numeric-failure line and write nothing: inference runs in float32."""
+        img_path, ev_path = enhance_files(tmp_path)
+        arrays, text = formats.load_checkpoint(trained_dir / "checkpoint.evck")
+        ckpt = tmp_path / "model.evck"
+        formats.save_checkpoint([(n, a * 1e30 if n.startswith(prefix) else a) for n, a in arrays.items()], text, ckpt)
+        out = tmp_path / "out"
+        proc = run_cli("enhance", "--input", img_path, "--events", ev_path, "--checkpoint", ckpt, "--out", out, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stderr == f"numeric failure: non-finite {where} (inference runs in float32)\n"
         assert not out.exists()
 
     def test_prompt_and_sweep_exclusive(self, trained_dir, tmp_path):
