@@ -6,10 +6,13 @@ and the reported metric is the mean displacement that transform induces over
 every pixel center.  ``evaluate_alignment`` always uses ``detect_keypoints``;
 descriptors have unit L2 norm and flat patches are discarded.
 
-Both hot loops run on stacked arrays with the per-item arithmetic unchanged, so
-results are bit-identical to per-item code: descriptors are gathered as one
-(k, 9, 9) patch array, and RANSAC solves and scores its hypotheses in blocks of
-``RANSAC_BLOCK`` while drawing each triple with the same ``rng.choice`` call.
+Each keypoint sits at the vertex of the quadratic through its 3x3 Harris
+response (Brown & Lowe 2002), so the metric is not limited to whole pixels;
+descriptors are gathered as one (k, 9, 9) patch array at the integer peaks.
+RANSAC (Fischler & Bolles 1981) draws, solves and scores its hypotheses in
+blocks of ``RANSAC_BLOCK``: one ``rng.integers`` call per block draws the
+block's index triples, and the blocks continue one stream, so the hypotheses
+do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ PATCH_RADIUS = 4  # descriptors are (2r+1) x (2r+1) intensity patches
 RANSAC_BLOCK = 128  # hypotheses scored per stacked block; bounds the (block, n, 2) temporaries
 
 
+def _invertible(m: np.ndarray) -> np.ndarray:
+    """Whether each (..., 2, 3) affine's linear part is far enough from singular."""
+    return np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]) > 1e-9
+
+
 @dataclass
 class Keypoint:
     x: float
@@ -58,7 +66,7 @@ class AffineTransform:
             raise ValueError("affine matrix must be 2x3")
         if not np.all(np.isfinite(m)):
             raise ValueError("affine matrix must be finite")
-        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) <= 1e-9:
+        if not _invertible(m):
             raise ValueError("affine linear part is singular")
         object.__setattr__(self, "matrix", m)
 
@@ -122,6 +130,25 @@ def _nms3(r: np.ndarray) -> np.ndarray:
     return r >= best
 
 
+def _subpixel(r: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the vertex of the quadratic through each peak's 3x3 response
+    (central differences).  Only a peak whose Hessian is negative definite
+    moves, by at most half a pixel per axis; any other keeps its pixel."""
+    c = r[ys, xs]
+    left, right, up, down = r[ys, xs - 1], r[ys, xs + 1], r[ys - 1, xs], r[ys + 1, xs]
+    gx = (right - left) / 2
+    gy = (down - up) / 2
+    hxx = right - 2 * c + left
+    hyy = down - 2 * c + up
+    hxy = (r[ys + 1, xs + 1] - r[ys + 1, xs - 1] - r[ys - 1, xs + 1] + r[ys - 1, xs - 1]) / 4
+    det = hxx * hyy - hxy * hxy
+    peaked = (hxx < 0) & (det > 0)
+    det = np.where(peaked, det, 1.0)
+    ox = np.where(peaked, np.clip((hxy * gy - hyy * gx) / det, -0.5, 0.5), 0.0)
+    oy = np.where(peaked, np.clip((hxy * gx - hxx * gy) / det, -0.5, 0.5), 0.0)
+    return xs + ox, ys + oy
+
+
 def _check_settings(
     max_count: int = 1, ratio: float = 0.8, iterations: int = 1, inlier_px: float = 2.0
 ) -> None:
@@ -138,10 +165,11 @@ def _check_settings(
 
 
 def detect_keypoints(img: RgbImage, max_count: int = 200, harris_k: float = 0.04) -> list[Keypoint]:
-    """Harris corners, 3x3 non-max suppressed, strongest first.
+    """Harris corners, 3x3 non-max suppressed, strongest first, each placed at
+    the subpixel vertex of its response (see ``_subpixel``).
 
-    Descriptors are mean-subtracted 9x9 patches scaled to unit L2 norm; patches
-    with no contrast are discarded.
+    Descriptors are mean-subtracted 9x9 patches around the integer peak, scaled
+    to unit L2 norm; patches with no contrast are discarded.
     """
     _check_settings(max_count=max_count)
     if img.height < 16 or img.width < 16:
@@ -172,8 +200,9 @@ def detect_keypoints(img: RgbImage, max_count: int = 200, harris_k: float = 0.04
     norms = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     keep = np.flatnonzero(~(norms < 1e-12))
     descriptors = d[keep] / norms[keep, None]
+    px, py = _subpixel(response, ys, xs)
     return [
-        Keypoint(float(xs[i]), float(ys[i]), float(response[ys[i], xs[i]]), desc)
+        Keypoint(float(px[i]), float(py[i]), float(response[ys[i], xs[i]]), desc)
         for i, desc in zip(keep, descriptors)
     ]
 
@@ -197,12 +226,26 @@ def match_keypoints(
     return [(int(i), int(nearest[i])) for i in np.flatnonzero(two[:, 0] < ratio * two[:, 1])]
 
 
+def _draw_triples(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``size`` ordered triples of distinct indices below ``n``, uniform over all
+    n(n-1)(n-2) of them, from one ``rng.integers`` call: the second index is
+    drawn from n-1 values and steps past the first, the third from n-2 values
+    and steps past the smaller, then the larger, of the two taken."""
+    idx = rng.integers(0, (n, n - 1, n - 2), size=(size, 3))
+    i0, i1, i2 = idx.T
+    i1 += i1 >= i0
+    i2 += i2 >= np.minimum(i0, i1)
+    i2 += i2 >= np.maximum(i0, i1)
+    return idx
+
+
 def _solve_affine_3pt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact 6-dof affines through stacked point triples via the 2x2 adjugate.
 
     ``src`` and ``dst`` are (k, 3, 2).  Returns the (m, 2, 3) models of the
-    triples that are not (near-)collinear, and their m indices among the k.
-    Using the adjugate keeps exact-identity correspondences bit-exact.
+    triples that are not (near-)collinear and whose model is invertible, and
+    their m indices among the k.  Using the adjugate keeps exact-identity
+    correspondences bit-exact.
     """
     e1 = src[:, 1] - src[:, 0]
     e2 = src[:, 2] - src[:, 0]
@@ -218,7 +261,9 @@ def _solve_affine_3pt(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.
     g11 = (f2[:, 1] * e1[:, 0] - f1[:, 1] * e2[:, 0]) / det
     tx = dst[:, 0, 0] - (g00 * src[:, 0, 0] + g01 * src[:, 0, 1])
     ty = dst[:, 0, 1] - (g10 * src[:, 0, 0] + g11 * src[:, 0, 1])
-    return np.stack([g00, g01, tx, g10, g11, ty], axis=1).reshape(-1, 2, 3), solved
+    models = np.stack([g00, g01, tx, g10, g11, ty], axis=1).reshape(-1, 2, 3)
+    invertible = _invertible(models)
+    return models[invertible], solved[invertible]
 
 
 def ransac_affine(
@@ -229,15 +274,17 @@ def ransac_affine(
     seed: int = 0,
 ) -> AffineTransform:
     """Robust affine fit: 3-point hypotheses, consensus by reprojection distance,
-    least-squares refit on the best consensus set (kept only when it strictly
-    lowers the squared reprojection error, so exact hypotheses survive verbatim).
+    least-squares refit on the best consensus set (kept only when it is
+    invertible and strictly lowers the squared reprojection error, so exact
+    hypotheses survive verbatim).
 
-    Hypothesis ``it`` is the ``it``-th ``rng.choice(n, 3, replace=False)`` draw;
-    the best has the most inliers, then the lowest inlier error sum, then the
-    lowest ``it``.  Hypotheses are drawn, solved and scored in blocks of
-    ``RANSAC_BLOCK`` as stacked arrays, which picks the same model as scoring
-    them one by one; a block whose best count is below the incumbent's is
-    skipped after its counts.
+    Hypothesis ``it`` is row ``it`` of the ordered triples that ``_draw_triples``
+    would draw in one call for all ``iterations``; a triple that is collinear or
+    fits a singular affine is skipped.  The best hypothesis has the most
+    inliers, then the lowest inlier error sum, then the lowest ``it``.
+    Hypotheses are drawn, solved and scored in blocks of ``RANSAC_BLOCK`` as
+    stacked arrays, which picks the same model as scoring them one by one; a
+    block whose best count is below the incumbent's is skipped after its counts.
     """
     src = np.asarray(src_points, dtype=np.float64).reshape(-1, 2)
     dst = np.asarray(dst_points, dtype=np.float64).reshape(-1, 2)
@@ -253,29 +300,35 @@ def ransac_affine(
     best_inliers = None
     solved = False
     for start in range(0, iterations, RANSAC_BLOCK):
-        size = min(RANSAC_BLOCK, iterations - start)
-        idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(size)])
+        idx = _draw_triples(rng, n, min(RANSAC_BLOCK, iterations - start))
         models, its = _solve_affine_3pt(src[idx], dst[idx])
         if len(its) == 0:
             continue
         solved = True
         proj = src @ models[:, :, :2].transpose(0, 2, 1) + models[:, None, :, 2]
-        err = np.linalg.norm(proj - dst, axis=2)
+        dx = proj[:, :, 0] - dst[:, 0]
+        dy = proj[:, :, 1] - dst[:, 1]
+        err = np.sqrt(dx * dx + dy * dy)
         inliers = err <= inlier_px
         counts = inliers.sum(axis=1)
         count = int(counts.max())
         if count < 3 or (best_key is not None and -count > best_key[0]):
             continue
-        for k in np.flatnonzero(counts == count):
-            key = (-count, float(err[k][inliers[k]].sum()), start + int(its[k]))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_model = models[k]
-                best_inliers = inliers[k]
+        # every tied row holds ``count`` inliers, so the gathered rows sum each
+        # row's inlier errors exactly as a one-row sum would
+        tied = np.flatnonzero(counts == count)
+        sums = err[tied][inliers[tied]].reshape(len(tied), count).sum(axis=1)
+        j = sums.argmin()
+        k = tied[j]
+        key = (-count, float(sums[j]), start + int(its[k]))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_model = models[k]
+            best_inliers = inliers[k]
     if best_model is None:
         if solved:
             raise ValueError(f"RANSAC failed: no hypothesis reached 3 inliers within {inlier_px} px")
-        raise ValueError("RANSAC failed: every sampled triple was collinear")
+        raise ValueError("RANSAC failed: every sampled triple was collinear or fit a singular affine")
     s_in, d_in = src[best_inliers], dst[best_inliers]
     design = np.hstack([s_in, np.ones((len(s_in), 1))])
     fit, *_ = np.linalg.lstsq(design, d_in, rcond=None)
@@ -285,7 +338,7 @@ def ransac_affine(
         proj = s_in @ model[:, :2].T + model[:, 2]
         return float(((proj - d_in) ** 2).sum())
 
-    model = refit if sse(refit) < sse(best_model) else best_model
+    model = refit if _invertible(refit) and sse(refit) < sse(best_model) else best_model
     return AffineTransform(model)
 
 

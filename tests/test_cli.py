@@ -242,12 +242,18 @@ class TestEvalAlignCli:
         assert float(mean_px) == 0.0
         assert inliers == matches
 
-    def test_prints_the_evaluate_alignment_report(self, tmp_path, capsys):
+    @staticmethod
+    def warped_pair(tmp_path):
         img = textured_image(3)
         warp = align.AffineTransform(np.array([[0.9997, -0.0262, 3.0], [0.0262, 0.9997, -1.5]]))
-        path_a, path_b, out = tmp_path / "a.ppm", tmp_path / "b.ppm", tmp_path / "t.txt"
+        path_a, path_b = tmp_path / "a.ppm", tmp_path / "b.ppm"
         formats.write_ppm(img, path_a)
         formats.write_ppm(align.warp_affine(img, warp), path_b)
+        return path_a, path_b
+
+    def test_prints_the_evaluate_alignment_report(self, tmp_path, capsys):
+        path_a, path_b = self.warped_pair(tmp_path)
+        out = tmp_path / "t.txt"
         code = main(["eval-align", "--image-a", str(path_a), "--image-b", str(path_b), "--seed", "2", "--transform-out", str(out)])
         assert code == 0
         report = align.evaluate_alignment(formats.read_ppm(path_a), formats.read_ppm(path_b), seed=2)
@@ -256,12 +262,21 @@ class TestEvalAlignCli:
         assert capsys.readouterr().out == line
         assert out.read_text() == report.transform.to_line() + "\n"
         # computed with the per-hypothesis RANSAC loop and per-keypoint descriptor
-        # loop, so any change to the stacked code's arithmetic shows here
-        assert line == "1.7007810487281525,3.4117904056142265,128,180\n"
+        # loop, so any change to the stacked code's arithmetic shows here; the
+        # closed-form mean displacement of ``warp`` is 1.73302 px
+        assert line == "1.728725625164465,3.476018438211456,128,180\n"
         assert out.read_text() == (
-            "1.0000598240644003,-0.02588939147717229,2.9472927017575397,"
-            "0.025239945793400723,1.0001675925461773,-1.4999125790421224\n"
+            "1.0003318691196792,-0.02610804555232987,2.959727425066196,"
+            "0.02595749786250977,1.0001971463125412,-1.5440464239190947\n"
         )
+
+    def test_singular_fits_end_in_a_ransac_failure(self, tmp_path, capsys):
+        path_a, path_b = self.warped_pair(tmp_path)
+        code = main(["eval-align", "--image-a", str(path_a), "--image-b", str(path_b), "--max-keypoints", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: RANSAC failed: every sampled triple was collinear or fit a singular affine\n"
 
     def test_zero_iterations_exits_2(self, tmp_path, capsys):
         path = tmp_path / "img.ppm"
