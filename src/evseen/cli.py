@@ -57,7 +57,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     stack = formats.read_evsf(ns.field)
     if stack.ndim != 3:
         raise ValueError("radiance field container must be 3-d (frames, height, width)")
-    times = ns.t0_us + np.arange(stack.shape[0], dtype=np.int64) * ns.dt_us
+    times = [ns.t0_us + i * ns.dt_us for i in range(stack.shape[0])]  # Python ints: RadianceField range-checks them
     field = RadianceField(np.maximum(stack, 0.0), times)
     stream = simulate_events(field, ns.threshold, ns.floor)
     out_dir = Path(ns.out)

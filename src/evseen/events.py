@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_LOG_FLOOR = 1e-6
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,13 @@ def voxelize(stream: EventStream, bins: int, t_start: int, t_end: int) -> VoxelG
     if bins == 1:
         np.add.at(grid, (stream.ys, stream.xs, np.zeros(len(stream), dtype=np.int64)), stream.ps)
         return VoxelGrid(grid, t_start, t_end)
-    tau = (stream.ts - t_start) * (bins - 1) / (t_end - t_start)
+    # the stream is sorted, so its first and last stamps bound every int64 intermediate
+    span = t_end - t_start
+    first, last = ((int(stream.ts[i]) - t_start) * (bins - 1) for i in (0, -1))
+    if _INT64.min <= min(t_start, first) and max(t_start, span, last) <= _INT64.max:
+        tau = (stream.ts - t_start) * (bins - 1) / span
+    else:  # those intermediates would wrap in int64; float64 ones cannot
+        tau = (stream.ts - float(t_start)) * (bins - 1) / float(span)
     tau = np.clip(tau, 0.0, bins - 1)
     lo = np.minimum(np.floor(tau).astype(np.int64), bins - 2)
     w_hi = tau - lo

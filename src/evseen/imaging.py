@@ -37,12 +37,15 @@ class RadianceField:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
-        times = np.asarray(self.timestamps_us, dtype=np.int64)
+        try:
+            times = np.asarray(self.timestamps_us, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("timestamps must fit in int64 microseconds") from None
         if values.ndim != 3:
             raise ValueError("radiance values must be a (frames, height, width) array")
         if times.shape != (values.shape[0],):
             raise ValueError("need one timestamp per frame")
-        if values.shape[0] >= 2 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):  # compared, not differenced: a difference can wrap
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(values)) or values.min(initial=0.0) < 0.0:
             raise ValueError("radiance must be finite and nonnegative")

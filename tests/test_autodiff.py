@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -181,10 +182,12 @@ class TestAttention:
         q, k, v = rand((11, 6), 49), rand((4, 6), 50), rand((4, 6), 51)
         out = ad.attention(q, k, v, 2)
         assert [a[0].shape for a in softmaxes] == [(3, 4), (3, 4), (3, 4), (2, 4)] * 2
+        w = Tensor(np.random.default_rng(52).normal(size=(11, 6)))
+        ad.mean(out * w).backward()
+        assert len(softmaxes) == 8  # the backward rebuilds p from the saved log-sum-exp: no softmax
         assert np.abs(out.data - self.reference(q.data, k.data, v.data, 2)).max() < 1e-12
         with ad.no_grad():
             assert np.array_equal(ad.attention(q, k, v, 2).data, out.data)
-        w = Tensor(np.random.default_rng(52).normal(size=(11, 6)))
         for role in range(3):
             def f(t, role=role):
                 args = [q, k, v]
@@ -192,6 +195,52 @@ class TestAttention:
                 return ad.mean(ad.attention(*args, 2) * w)
 
             assert max_grad_error(f, Tensor((q, k, v)[role].data.copy())) < 1e-6, role
+
+    @staticmethod
+    def reference_gradients(q, k, v, heads, g):
+        """dq, dk, dv of sum(g * attention) from plain numpy: each head's full
+        softmax p, and dlogits = p * (g v^T - rowsum(p * g v^T))."""
+        d = q.shape[1] // heads
+        grads = [np.empty_like(t) for t in (q, k, v)]
+        for h in range(heads):
+            c = slice(h * d, (h + 1) * d)
+            logits = q[:, c] @ k[:, c].T
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            gp = g[:, c] @ v[:, c].T
+            dlogits = p * (gp - (p * gp).sum(axis=1, keepdims=True))
+            grads[0][:, c], grads[1][:, c], grads[2][:, c] = dlogits @ k[:, c], dlogits.T @ q[:, c], p.T @ g[:, c]
+        return grads
+
+    # the last case runs blocks of 4 query rows over 23 keys: 9 full and a last of 1
+    @pytest.mark.parametrize("n, m, c, heads, block", [(5, 7, 4, 2, None), (256, 256, 16, 2, None), (37, 23, 12, 3, 100)])
+    def test_gradients_match_full_softmax_reference(self, monkeypatch, n, m, c, heads, block):
+        if block:
+            monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
+        q, k, v = rand((n, c), 60), rand((m, c), 61), rand((m, c), 62)
+        g = np.random.default_rng(63).normal(size=(n, c))
+        ad.mean(ad.attention(q, k, v, heads) * Tensor(g)).backward()
+        expected = self.reference_gradients(q.data, k.data, v.data, heads, g / g.size)
+        largest = max(np.abs(e).max() for e in expected)
+        for got, want in zip((q.grad, k.grad, v.grad), expected):
+            assert np.abs(got - want).max() <= 1e-12 * largest
+
+    def test_tape_keeps_no_logits(self):
+        """A taped forward at N = M = 2048 keeps, beyond its output, one log-sum-exp
+        per row and head (32 KiB); one head's logits would be 32 MiB.  Under
+        no_grad it keeps nothing beyond its output."""
+        n, heads = 2048, 2
+        q, k, v = (Tensor(np.random.default_rng(s).normal(size=(n, 16)), requires_grad=True) for s in (64, 65, 66))
+        for recording in (True, False):
+            tracemalloc.start()
+            try:
+                with contextlib.nullcontext() if recording else ad.no_grad():
+                    out = ad.attention(q, k, v, heads)
+                kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            assert (out._node is not None) == recording
+            assert kept < (4 * 8 * n * heads if recording else 8 * 1024), (recording, kept)
 
     def test_inference_memory_is_one_block(self):
         q, k, v = (np.random.default_rng(s).normal(size=(2048, 16)) for s in (53, 54, 55))

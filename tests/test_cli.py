@@ -181,6 +181,41 @@ class TestSimulateVoxelize:
         assert "PiB" in proc.stderr
         assert not vox.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--t0-us", 9223372036854775000),  # the second of six frames passes 2^63 - 1
+            ("--dt-us", 9223372036854775807),  # the third frame passes 2^63 - 1
+            ("--dt-us", 10**20),  # past int64 from the second frame
+            ("--t0-us", -(2**63), "--dt-us", -1),  # the second frame passes -2^63
+        ],
+    )
+    def test_frame_times_outside_int64_exit_2_in_one_line(self, field_file, tmp_path, flags):
+        out = tmp_path / "sim"
+        proc = run_cli("simulate", "--field", field_file, *flags, "--out", out, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "domain error: timestamps must fit in int64 microseconds\n"
+        assert not out.exists()
+
+    def test_frame_times_at_the_int64_ends_simulate(self, field_file, tmp_path):
+        """Six frames 2^63 / 3 apart from -2^63 end inside int64: stamped as given."""
+        out = tmp_path / "sim"
+        step = 2**63 // 3
+        assert main(["simulate", "--field", str(field_file), "--threshold", "0.2", "--t0-us", str(-(2**63)), "--dt-us", str(step), "--out", str(out)]) == 0
+        stamps = np.unique(formats.read_events(out / "events.evt0").ts).tolist()
+        assert stamps and set(stamps) <= {-(2**63) + i * step for i in range(1, 6)}
+
+    def test_full_int64_window_voxelizes_mid_window(self, field_file, tmp_path):
+        """Events at 10,000-50,000 us over [-2^63, 2^63 - 1] sit in the middle bin."""
+        sim, vox = tmp_path / "sim", tmp_path / "vox"
+        assert main(["simulate", "--field", str(field_file), "--threshold", "0.2", "--out", str(sim)]) == 0
+        window = ["--t-start", str(-(2**63)), "--t-end", str(2**63 - 1)]
+        assert main(["voxelize", "--events", str(sim / "events.evt0"), "--bins", "5", *window, "--out", str(vox)]) == 0
+        total = float(formats.read_events(sim / "events.evt0").ps.sum())
+        per_bin = formats.read_evsf(vox / "voxels.evsf").sum(axis=(0, 1))
+        assert per_bin[[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
+        assert per_bin[2] == pytest.approx(total, abs=1e-9)
+
     def test_idempotent_outputs(self, field_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

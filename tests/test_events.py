@@ -77,6 +77,18 @@ class TestSimulate:
         assert len(fwd) == len(rev)
         assert sorted(fwd.ps) == sorted(-rev.ps)
 
+    @pytest.mark.parametrize("times", [[0, 2**63], [-(2**63) - 1, 0], [10**20]])
+    def test_timestamps_outside_int64_rejected(self, times):
+        with pytest.raises(ValueError, match="int64"):
+            RadianceField(np.ones((len(times), 1, 1)), times)
+
+    def test_increasing_check_does_not_wrap(self):
+        """A difference of int64 stamps can wrap; the field compares them instead."""
+        extremes = [-(2**63), 2**63 - 1]
+        assert RadianceField(np.ones((2, 1, 1)), extremes).timestamps_us.tolist() == extremes
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RadianceField(np.ones((2, 1, 1)), extremes[::-1])
+
     def test_validation(self):
         field = single_pixel_field([0.5, 0.6])
         with pytest.raises(ValueError):
@@ -154,6 +166,46 @@ class TestVoxelize:
         grid = voxelize(stream, bins, 0, 10_000)
         total = stream.ps.sum()
         assert grid.values.sum() == pytest.approx(total, rel=1e-6, abs=1e-9)
+
+    @staticmethod
+    def mid_window_stream():
+        """74 events stamped 10,000-20,000 us."""
+        rng = np.random.default_rng(74)
+        n = 74
+        return EventStream(8, 8, rng.integers(0, 8, n), rng.integers(0, 8, n), rng.integers(10_000, 20_001, n), rng.choice([-1, 1], n))
+
+    def test_full_int64_window_lands_mid_window(self):
+        """Over [-2^63, 2^63 - 1] the stamps sit at the window's middle; their int64
+        offsets from -2^63 would wrap and put every event in bin 0."""
+        stream = self.mid_window_stream()
+        grid = voxelize(stream, 5, -(2**63), 2**63 - 1)
+        per_bin = grid.values.sum(axis=(0, 1))
+        assert per_bin[[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
+        assert per_bin[2] == pytest.approx(stream.ps.sum(), abs=1e-12)
+        assert per_bin.sum() == pytest.approx(stream.ps.sum(), abs=1e-12)
+
+    def test_offset_times_bins_past_int64(self):
+        """(t - t_start) * (bins - 1) past 2^63 is binned, not wrapped."""
+        stream = EventStream(2, 1, [0, 1], [0, 0], [5 * 10**18, 9 * 10**18], [1, -1])
+        grid = voxelize(stream, 10, 0, 9 * 10**18)
+        assert grid.values[0, 0, 5] == 1.0 and grid.values[0, 1, 9] == -1.0
+        assert np.abs(grid.values).sum() == 2.0
+
+    # the last window's offsets round differently in float64 than in int64
+    @pytest.mark.parametrize(
+        "bins, t_start, t_end",
+        [(5, 0, 30_000), (7, 12_000, 18_000), (3, -(2**61), 2**61), (9, 19_000, 19_001), (4, -123456789012345679, 987654321098765431)],
+    )
+    def test_in_range_windows_match_the_int64_formula(self, bins, t_start, t_end):
+        """A window whose int64 arithmetic cannot wrap bins exactly as
+        (t - t_start) * (bins - 1) / (t_end - t_start) in int64, events outside clamped."""
+        stream = self.mid_window_stream()
+        tau = np.clip((stream.ts - t_start) * (bins - 1) / (t_end - t_start), 0.0, bins - 1)
+        lo = np.minimum(np.floor(tau).astype(np.int64), bins - 2)
+        expected = np.zeros((8, 8, bins))
+        np.add.at(expected, (stream.ys, stream.xs, lo), stream.ps * (1.0 - (tau - lo)))
+        np.add.at(expected, (stream.ys, stream.xs, lo + 1), stream.ps * (tau - lo))
+        assert voxelize(stream, bins, t_start, t_end).values.tobytes() == expected.tobytes()
 
     def test_single_bin(self):
         stream = EventStream(2, 2, [0, 0], [0, 0], [10, 20], [1, 1])
