@@ -66,15 +66,6 @@ class Tape:
 
     nodes: list
 
-    def is_topologically_ordered(self) -> bool:
-        seen: set[int] = set()
-        for node in self.nodes:
-            for inp in node.inputs:
-                if inp._node is not None and id(inp._node) not in seen and inp._node.seq >= node.seq:
-                    return False
-            seen.add(id(node))
-        return True
-
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_node")

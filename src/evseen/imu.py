@@ -4,13 +4,19 @@ Two 1000 Hz sequences recorded along the same trajectory differ by an unknown
 constant offset.  The recovery pipeline is: per-channel constant-velocity Kalman
 denoising (a gain track cut at its exact fixed point, then a log-depth prefix
 scan of the affine state update: Blelloch 1990; Sarkka & Garcia-Fernandez 2021),
-a 3-level average-pooling pyramid, then a coarse-to-fine search for the bias b
-and matching length l minimizing the mean per-sample L1 distance over the
-aligned overlap.  ``register_exhaustive`` runs the same search on a one-level
-pyramid, the full-resolution sequences, which scans every admissible bias and
-length; it is the brute-force reference used to validate the hierarchy.
+then an exact search for the bias b and matching length l minimizing the mean
+per-sample L1 distance over the aligned overlap.
 
-Every search level copies its two sequences once into channel-major (6, n)
+``register`` first bounds every score of each admissible bias from below with
+window sums (the PAA bound of Keogh et al. 2001: |sum s - sum t| <= sum |s - t|
+per channel over windows of ``BOUND_WINDOW`` aligned samples), then scans
+whole biases in increasing-bound order, as the UCR suite cascades its bounds
+(Rakthanmanon et al. 2012), and stops at the first bound strictly above the
+incumbent's score.  Every bias left out scores strictly worse, so the result is
+the one ``register_exhaustive`` finds by scanning every admissible bias and
+length; that scan is the reference the bounded search is checked against.
+
+The search copies its two sequences once into channel-major (6, n)
 arrays, so each bias sums six contiguous rows into one buffer instead of
 reducing a 6-wide inner axis.  The channels add in the order numpy sums a row,
 so every score is bit-identical to the row-major scan; ``match_score`` is the
@@ -31,16 +37,16 @@ import numpy as np
 __all__ = [
     "ImuSequence",
     "KalmanParams",
-    "PyramidLevel",
     "Registration",
     "kalman_denoise",
-    "build_pyramid",
     "match_score",
     "register",
     "register_exhaustive",
 ]
 
 CHANNELS = 6
+# samples per window of the lower bound; it sets the search's speed, never its result
+BOUND_WINDOW = 256
 
 
 @dataclass
@@ -77,20 +83,12 @@ class KalmanParams:
 
 
 @dataclass
-class PyramidLevel:
-    level: int
-    pool_factor: int
-    data: np.ndarray
-
-
-@dataclass
 class Registration:
     bias_samples: int
     bias_us: int
     length: int
     score: float
-    evaluations: int = 0
-    level_evaluations: tuple[int, ...] = ()  # cells scanned per pyramid level, coarsest first
+    evaluations: int = 0  # (bias, length) cells scanned
 
 
 def kalman_denoise(seq: ImuSequence, params: KalmanParams = KalmanParams()) -> ImuSequence:
@@ -142,31 +140,6 @@ def kalman_denoise(seq: ImuSequence, params: KalmanParams = KalmanParams()) -> I
         a[hi], b[hi], c[hi], d[hi] = ai * aj + bi * cj, ai * bj + bi * dj, ci * aj + di * cj, ci * bj + di * dj
         stride *= 2
     return ImuSequence(z + e, seq.rate_hz, seq.t0_us)
-
-
-def build_pyramid(
-    seq: ImuSequence, pool_factor: int = 32
-) -> tuple[PyramidLevel, PyramidLevel, PyramidLevel]:
-    """Level-0 data plus two average-pooled levels; trailing partial blocks drop."""
-    if pool_factor < 2:
-        raise ValueError("pool_factor must be >= 2")
-    if len(seq) < pool_factor * pool_factor:
-        raise ValueError(
-            f"sequence of {len(seq)} samples too short for two pooling levels of {pool_factor}"
-        )
-
-    def pool(a: np.ndarray, f: int) -> np.ndarray:
-        m = a.shape[0] // f
-        return a[: m * f].reshape(m, f, CHANNELS).mean(axis=1)
-
-    level0 = seq.samples
-    level1 = pool(level0, pool_factor)
-    level2 = pool(level1, pool_factor)
-    return (
-        PyramidLevel(0, 1, level0),
-        PyramidLevel(1, pool_factor, level1),
-        PyramidLevel(2, pool_factor * pool_factor, level2),
-    )
 
 
 def match_score(s: np.ndarray, t: np.ndarray, b: int, l: int) -> float:
@@ -226,100 +199,122 @@ def _scan_bias(
     return float(scores[best]), l_min + best, count
 
 
+def _window_sums(x: np.ndarray) -> np.ndarray:
+    """Channel-major (6, n - BOUND_WINDOW + 1) sums of every ``BOUND_WINDOW``
+    consecutive samples of an (n, 6) sequence, from one sequential prefix sum per channel."""
+    prefix = np.zeros((CHANNELS, x.shape[0] + 1))
+    np.cumsum(x.T, axis=1, out=prefix[:, 1:])
+    return prefix[:, BOUND_WINDOW:] - prefix[:, :-BOUND_WINDOW]
+
+
+def _shift_bounds(wx: np.ndarray, wy: np.ndarray, nx: int, ny: int, l_min: int, count: int) -> np.ndarray:
+    """Lower bounds on every score of the shifts d = 0 .. count - 1 at which x[i]
+    aligns with y[i + d], given the window sums of x and y.
+
+    Window k of shift d covers aligned samples [kp, kp + p), so it starts at kp in
+    x for every d and at d + kp in y: one contiguous slice of ``wy`` per k.  By the
+    triangle inequality, the running sum L of sum_c |window sum of x - window sum
+    of y| over the first K windows is at most the absolute difference sum of any
+    length l >= Kp, so L / (6 * min(overlap, Kp + p - 1)) bounds the score of every
+    length l with l // p == K.  Lengths shorter than one window are bounded at 0.
+    """
+    p = BOUND_WINDOW
+    overlap = np.minimum(nx, ny - np.arange(count))
+    bound = np.full(count, 0.0 if l_min < p else np.inf)
+    total = np.zeros(count)
+    for k in range(min(nx, ny) // p):
+        last = (k + 1) * p + p - 1  # the longest length this window count bounds
+        m = min(count, ny - (k + 1) * p + 1)  # the shifts whose overlap holds window k
+        total[:m] += np.abs(wy[:, k * p : k * p + m] - wx[:, k * p, None]).sum(axis=0)
+        if last >= l_min:
+            np.minimum(bound[:m], total[:m] / (CHANNELS * np.minimum(overlap[:m], last)), out=bound[:m])
+    return bound
+
+
+def _bias_bounds(s: np.ndarray, t: np.ndarray, l_min: int) -> np.ndarray:
+    """Lower bounds on the computed score of every length of each admissible bias
+    -(ns - l_min) .. nt - l_min of two (n, 6) sequences, deflated by a rounding margin.
+
+    The margin, with u = 2**-53, n the longer length and A the sum of |s| and |t|
+    over every sample and channel: each prefix sum runs sequentially, so it is off
+    by at most about n u times its channel's absolute sum, and each window's
+    sum_c |window sum difference| by about e = 2 (n + 1) u A.  A length l >= Kp adds
+    K <= l / p windows, so in score units the absolute error is at most
+    e / (6p) = (n + 1) u A / (3p) for every bias and length.  The channel sums, the
+    running sum over windows and the scan's own score add nonnegative terms, so the
+    relative error of bound and score together stays below (2n + 15) u.  The bound
+    is scaled by 1 - 4 (n + 8) u, twice that, and lowered by 2 (n + 1) u A / p, six
+    times the absolute error, so it never exceeds the score the scan computes.  A
+    bound that is not finite becomes -inf: that bias is always scanned.
+    """
+    ns, nt = s.shape[0], t.shape[0]
+    ws, wt = _window_sums(s), _window_sums(t)
+    ahead = _shift_bounds(ws, wt, ns, nt, l_min, nt - l_min + 1)  # bias d
+    behind = _shift_bounds(wt, ws, nt, ns, l_min, ns - l_min + 1)  # bias -d
+    bounds = np.concatenate([behind[:0:-1], ahead])
+    n, u = max(ns, nt), np.finfo(np.float64).eps / 2
+    size = float(np.abs(s).sum() + np.abs(t).sum())
+    bounds = bounds * (1 - 4 * (n + 8) * u) - 2 * (n + 1) * u * size / BOUND_WINDOW
+    return np.where(np.isfinite(bounds), bounds, -np.inf)
+
+
 def _search_biases(
-    s: np.ndarray, t: np.ndarray, biases: range, l_min: int
+    s: np.ndarray, t: np.ndarray, biases: range, l_min: int, bounds: np.ndarray | None = None
 ) -> tuple[int, int, float, int]:
-    """Best (bias, length, score) over ``biases`` for two (n, 6) levels, plus the
-    cells scanned.  Ties break by (score, larger length, smaller |bias|, smaller bias)."""
+    """Best (bias, length, score) over ``biases`` for two (n, 6) sequences, plus the
+    cells scanned.  Ties break by (score, larger length, smaller |bias|, smaller bias).
+
+    ``bounds`` holds a lower bound on every score of each bias (all 0 when
+    omitted).  Biases run in increasing-bound order and the scan stops at the
+    first bound strictly above the incumbent's score: every bias left scores
+    strictly worse, so ties still reach the tie-break and the result is the full scan's.
+    """
     longest = min(s.shape[0], t.shape[0])  # no overlap is longer
     s, t = np.ascontiguousarray(s.T), np.ascontiguousarray(t.T)
     denom = CHANNELS * np.arange(l_min, longest + 1)
     buf = np.empty((2, longest))
-    best_key = None
-    best = None
+    bounds = np.zeros(len(biases)) if bounds is None else bounds
+    best = None  # the key (score, -length, |bias|, bias) of the incumbent
     scanned = 0
-    for b in biases:
+    for i in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[i] > best[0]:
+            break
+        b = biases[i]
         score, length, count = _scan_bias(s, t, b, l_min, denom, buf)
         scanned += count
         key = (score, -length, abs(b), b)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (b, length, score)
-    return (*best, scanned)
+        if best is None or key < best:
+            best = key
+    return best[3], -best[1], best[0], scanned
 
 
-def _coarse_to_fine(
-    s_levels: list[np.ndarray],
-    t_levels: list[np.ndarray],
-    pool_factor: int,
-    search_radius: int,
-    l_min_fraction: float,
-    rate_hz: float,
-) -> Registration:
-    """The (bias, length) search over pyramid levels given coarsest first, each
-    ``pool_factor`` times finer than the one before.
-
-    A bias is admissible when it leaves an overlap of at least ``l_min_fraction``
-    of the shorter sequence.  The first level scans every admissible bias; each
-    finer level scans the admissible biases within +/- search_radius * pool_factor
-    of the upscaled incumbent.  With search_radius >= 1 that window always meets
-    the admissible range, because each level is at least pool_factor times longer
-    than the one before.
-    """
-    bias = None
-    level_evaluations = []
-    for s, t in zip(s_levels, t_levels):
-        ns, nt = s.shape[0], t.shape[0]
-        l_min = max(1, math.ceil(l_min_fraction * min(ns, nt)))
-        biases = range(-(ns - l_min), nt - l_min + 1)
-        if bias is not None:
-            center, radius = bias * pool_factor, search_radius * pool_factor
-            biases = range(max(center - radius, biases.start), min(center + radius + 1, biases.stop))
-        bias, length, score, scanned = _search_biases(s, t, biases, l_min)
-        level_evaluations.append(scanned)
-    return Registration(
-        bias, round(bias * 1_000_000 / rate_hz), length, score, sum(level_evaluations), tuple(level_evaluations)
-    )
-
-
-def _check_pair(source: ImuSequence, target: ImuSequence, l_min_fraction: float) -> None:
+def _registration(source: ImuSequence, target: ImuSequence, l_min_fraction: float, bounded: bool) -> Registration:
+    """The search over every bias that leaves an overlap of at least
+    ``l_min_fraction`` of the shorter sequence, with or without the lower bounds."""
     if not 0 < l_min_fraction <= 1:
         raise ValueError("l_min_fraction must be in (0, 1]")
     if source.rate_hz != target.rate_hz:
         raise ValueError("source and target rates differ")
+    s, t = source.samples, target.samples
+    l_min = max(1, math.ceil(l_min_fraction * min(len(source), len(target))))
+    biases = range(-(len(source) - l_min), len(target) - l_min + 1)
+    bounds = _bias_bounds(s, t, l_min) if bounded else None
+    bias, length, score, scanned = _search_biases(s, t, biases, l_min, bounds)
+    return Registration(bias, round(bias * 1_000_000 / source.rate_hz), length, score, scanned)
 
 
-def register(
-    source: ImuSequence,
-    target: ImuSequence,
-    pool_factor: int = 32,
-    search_radius: int = 2,
-    l_min_fraction: float = 0.5,
-) -> Registration:
-    """Coarse-to-fine (bias, length) search minimizing the mean L1 distance.
-
-    Level 2 scans every admissible bias of the twice-pooled sequences; each finer
-    level rescans biases within +/- search_radius * pool_factor samples of the
-    upscaled incumbent.  Lengths are scanned at step 1 in each level's own sample
-    units, which decimates the level-0 length grid by pool_factor per level until
-    the final full-resolution pass.  Ties break deterministically by
-    (score, larger length, smaller |bias|, smaller bias).
-    """
-    _check_pair(source, target, l_min_fraction)
-    if search_radius < 1:
-        raise ValueError("search_radius must be >= 1")
-    s_levels = [level.data for level in reversed(build_pyramid(source, pool_factor))]
-    t_levels = [level.data for level in reversed(build_pyramid(target, pool_factor))]
-    return _coarse_to_fine(s_levels, t_levels, pool_factor, search_radius, l_min_fraction, source.rate_hz)
+def register(source: ImuSequence, target: ImuSequence, l_min_fraction: float = 0.5) -> Registration:
+    """Exact (bias, length) search minimizing the mean L1 distance: window-sum
+    lower bounds order the biases and leave out every bias that cannot win, so the
+    result equals ``register_exhaustive``'s in bias, length and score.  Ties break
+    deterministically by (score, larger length, smaller |bias|, smaller bias)."""
+    return _registration(source, target, l_min_fraction, bounded=True)
 
 
 def register_exhaustive(
     source: ImuSequence, target: ImuSequence, l_min_fraction: float = 0.5
 ) -> Registration:
-    """Full level-0 scan over every admissible bias and length: ``register``'s
-    search on a one-level pyramid, the reference the hierarchy is checked
-    against.  ``tests/test_imu.py`` checks the shared per-bias scan against a
-    two-loop score and, for exact equality, against the row-major scan."""
-    _check_pair(source, target, l_min_fraction)
-    # pool factor and radius only act between levels, so a one-level search ignores them
-    return _coarse_to_fine([source.samples], [target.samples], 1, 0, l_min_fraction, source.rate_hz)
+    """Full scan over every admissible bias and length, the reference ``register``
+    is checked against.  ``tests/test_imu.py`` checks the shared per-bias scan
+    against a two-loop score and, for exact equality, against the row-major scan."""
+    return _registration(source, target, l_min_fraction, bounded=False)

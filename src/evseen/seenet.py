@@ -511,10 +511,6 @@ def parameter_count(config: SeeNetConfig) -> int:
     return head_e + head_i + 3 * block + prompt + decoder
 
 
-def count_instantiated(params: SeeNetParams) -> int:
-    return sum(t.size for _, t in params.named_tensors())
-
-
 # ---------------------------------------------------------------------------
 # gradient verification helpers
 

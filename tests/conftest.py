@@ -49,6 +49,11 @@ def shifted_imu_pair(
     return ImuSequence(source), ImuSequence(target), shift
 
 
+def count_instantiated(params) -> int:
+    """Parameters actually allocated by a ``SeeNetParams``, to check ``parameter_count`` against."""
+    return sum(t.size for _, t in params.named_tensors())
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Replace ``module.name`` with a wrapper that appends to the returned list."""
     calls = []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import evseen.autodiff as ad
-from conftest import shifted_imu_pair, textured_image
+from conftest import count_instantiated, shifted_imu_pair, textured_image
 from evseen import formats
 from evseen.autodiff import Tensor, max_grad_error
 from evseen.align import (
@@ -29,7 +29,6 @@ from evseen.seenet import (
     CALIBRATION_CONFIG,
     SeeNetConfig,
     _forward_tensor,
-    count_instantiated,
     forward,
     init_params,
     load_params,
@@ -59,44 +58,41 @@ def imu_suite():
         sigma = float(rng.uniform(0.002, 0.01))
         source, target, true_shift = shifted_imu_pair(1000 + trial, n=n, shift=shift, sigma=sigma)
         tic = time.perf_counter()
-        hier = register(source, target)
-        hier_seconds = time.perf_counter() - tic
+        bounded = register(source, target)
+        bounded_seconds = time.perf_counter() - tic
         exh = register_exhaustive(source, target)
         cases.append(
             {
                 "n": n,
                 "true": true_shift,
-                "hier": hier,
+                "bounded": bounded,
                 "exh": exh,
-                "seconds": hier_seconds,
+                "seconds": bounded_seconds,
             }
         )
     return cases
 
 
 def test_criterion_1_imu_oracle_equivalence(imu_suite):
-    worst_gap = 0.0
+    mismatches = 0
     worst_ratio = 0.0
     worst_seconds = 0.0
-    score_ok = True
     for case in imu_suite:
-        hier, exh = case["hier"], case["exh"]
-        worst_gap = max(worst_gap, abs(hier.bias_samples - exh.bias_samples))
-        rel = abs(hier.score - exh.score) / max(1e-12, abs(exh.score))
-        score_ok &= rel < 1e-9
-        worst_ratio = max(worst_ratio, hier.evaluations / exh.evaluations)
+        bounded, exh = case["bounded"], case["exh"]
+        mismatches += (bounded.bias_samples, bounded.length, bounded.score) != (exh.bias_samples, exh.length, exh.score)
+        worst_ratio = max(worst_ratio, bounded.evaluations / exh.evaluations)
         worst_seconds = max(worst_seconds, case["seconds"])
-    ok = score_ok and worst_gap <= 1 and worst_ratio < 0.10 and worst_seconds < 2.0
+    ok = mismatches == 0 and worst_ratio < 0.10 and worst_seconds < 2.0
     report(
         "criterion 1 (IMU oracle equivalence)",
         ok,
-        f"50 cases: max |bias gap| {worst_gap}, scores equal to 1e-9: {score_ok}, "
+        f"50 cases: {mismatches} differ from the oracle in bias, length or score, "
         f"max eval ratio {worst_ratio:.3f}, max wall {worst_seconds:.2f}s",
     )
 
 
 def test_criterion_2_millisecond_timing(imu_suite):
-    worst_us = max(abs(c["hier"].bias_us - c["true"] * 1000) for c in imu_suite)
+    worst_us = max(abs(c["bounded"].bias_us - c["true"] * 1000) for c in imu_suite)
     report(
         "criterion 2 (millisecond-class timing)",
         worst_us <= 1000,

@@ -105,7 +105,7 @@ class TestExitCodes:
         formats.write_imu_csv(source, tmp_path / "source.csv")
         formats.write_imu_csv(target, tmp_path / "target.csv")
         raw = (tmp_path / "source.csv").read_bytes()
-        argv = ["register-imu", "--source", str(tmp_path / "flipped.csv"), "--target", str(tmp_path / "target.csv"), "--pool", "4"]
+        argv = ["register-imu", "--source", str(tmp_path / "flipped.csv"), "--target", str(tmp_path / "target.csv")]
         rng = np.random.default_rng(0)
         codes = set()
         for _ in range(60):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evseen.autodiff as ad
-from conftest import count_calls
+from conftest import count_calls, count_instantiated
 from evseen.autodiff import Tensor
 from evseen.bayer import BayerOrder
 from evseen.events import VoxelGrid, position_embedding, voxelize
@@ -18,7 +18,6 @@ from evseen.seenet import (
     SeeNetConfig,
     attention_mix,
     project_memory,
-    count_instantiated,
     decode,
     encode,
     encode_image,
