@@ -7,9 +7,9 @@ engine), ``seenet`` (the enhancement network), ``pairing`` (scene pairing and
 synthesis), ``formats`` (file formats), ``cli`` (command line).
 """
 
-from .autodiff import Tensor, grad_check
+from .autodiff import Tensor
 from .bayer import BayerOrder, bayer_index
-from .events import Event, EventStream, VoxelGrid, position_embedding, simulate_events, voxelize
+from .events import EventStream, VoxelGrid, position_embedding, simulate_events, voxelize
 from .imaging import (
     NoiseModel,
     RadianceField,

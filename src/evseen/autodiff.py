@@ -39,7 +39,6 @@ __all__ = [
     "sigmoid",
     "mean",
     "charbonnier_gradient_loss",
-    "grad_check",
     "max_grad_error",
     "collect_tape",
     "no_grad",
@@ -113,9 +112,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def collect_tape(root: Tensor) -> Tape:
@@ -386,7 +382,7 @@ def max_grad_error(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) ->
     x.grad = None
     out = f(x)
     if out.data.size != 1:
-        raise ValueError("grad_check requires a scalar-valued function")
+        raise ValueError("max_grad_error requires a scalar-valued function")
     out.backward()
     analytic = np.zeros(x.shape) if x.grad is None else x.grad.copy()
     flat = x.data.reshape(-1)
@@ -406,8 +402,3 @@ def max_grad_error(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) ->
         err = abs(g_fd - g_ad) / denom if denom > 1e-8 else abs(g_fd - g_ad)
         worst = max(worst, err)
     return worst
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5, tol: float = 1e-4) -> bool:
-    """True when every coordinate's tape gradient matches central differences."""
-    return max_grad_error(f, x, h) < tol

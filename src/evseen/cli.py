@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import align, autodiff, formats, imu, pairing, seenet
-from .events import simulate_events, voxelize_stream
+from .events import simulate_events, voxelize
 from .imaging import RadianceField, RgbImage
 
 USAGE_EXIT, DOMAIN_EXIT, IO_EXIT, NUMERIC_EXIT = 1, 2, 3, 4
@@ -76,7 +76,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 def _cmd_voxelize(ns: argparse.Namespace) -> int:
     stream = formats.read_events(ns.events)
-    grid = voxelize_stream(stream, ns.bins, ns.t_start, ns.t_end)
+    grid = voxelize(stream, ns.bins, ns.t_start, ns.t_end)
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "voxels.evsf"
@@ -240,7 +240,7 @@ def _cmd_enhance(ns: argparse.Namespace) -> int:
         raise ValueError(
             f"event sensor {stream.width}x{stream.height} does not match image {img.width}x{img.height}"
         )
-    grid = voxelize_stream(stream, config.voxel_bins)
+    grid = voxelize(stream, config.voxel_bins)
     if ns.prompt_sweep:
         prompts = _parse_sweep(ns.prompt_sweep)
     else:

@@ -12,31 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayer import BayerOrder, bayer_index
+from .bayer import BayerOrder
 from .imaging import RadianceField
 
 __all__ = [
-    "Event",
     "EventStream",
     "VoxelGrid",
-    "BayerOrder",
-    "bayer_index",
     "simulate_events",
     "voxelize",
-    "voxelize_stream",
     "position_embedding",
 ]
 
 DEFAULT_LOG_FLOOR = 1e-6
 _INT64 = np.iinfo(np.int64)
-
-
-@dataclass(frozen=True)
-class Event:
-    x: int
-    y: int
-    t_us: int
-    p: int
 
 
 @dataclass
@@ -71,9 +59,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.ts)
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.xs[i]), int(self.ys[i]), int(self.ts[i]), int(self.ps[i]))
 
     @classmethod
     def empty(cls, width: int, height: int) -> "EventStream":
@@ -156,14 +141,27 @@ def simulate_events(
     )
 
 
-def voxelize(stream: EventStream, bins: int, t_start: int, t_end: int) -> VoxelGrid:
+def voxelize(
+    stream: EventStream, bins: int, t_start: int | None = None, t_end: int | None = None
+) -> VoxelGrid:
     """Bin events into a voxel grid with linear interpolation between bin centers.
 
     Bin centers sit at t_start + i * (t_end - t_start) / (bins - 1); events outside
-    the window are clamped to the boundary bins, so signed mass is conserved.
+    the window are clamped to the boundary bins, so signed mass is conserved.  A
+    missing bound falls back to the stream's first (last) timestamp, or 0 (1) for
+    an empty stream.  Only a window taken wholly from the stream is widened to at
+    least one microsecond; a window with a given bound and ``t_end <= t_start`` is
+    a ValueError.
     """
     if bins < 1:
         raise ValueError("need at least one bin")
+    widen = t_start is None and t_end is None
+    if t_start is None:
+        t_start = int(stream.ts.min()) if len(stream) else 0
+    if t_end is None:
+        t_end = int(stream.ts.max()) if len(stream) else 1
+    if widen:
+        t_end = max(t_end, t_start + 1)
     if t_end <= t_start:
         raise ValueError(f"empty time window: t_end {t_end} <= t_start {t_start}")
     grid = np.zeros((stream.height, stream.width, bins), dtype=np.float64)
@@ -187,24 +185,6 @@ def voxelize(stream: EventStream, bins: int, t_start: int, t_end: int) -> VoxelG
     np.add.at(grid, (stream.ys, stream.xs, lo), pol * w_lo)
     np.add.at(grid, (stream.ys, stream.xs, lo + 1), pol * w_hi)
     return VoxelGrid(grid, t_start, t_end)
-
-
-def voxelize_stream(
-    stream: EventStream, bins: int, t_start: int | None = None, t_end: int | None = None
-) -> VoxelGrid:
-    """Voxelize over the stream's own time span, or over the bounds given.
-
-    A missing bound falls back to the first (last) timestamp, or 0 (1) for an
-    empty stream.  Only a window taken wholly from the stream is widened to at
-    least one microsecond; a window with a given bound and ``t_end <= t_start``
-    is a ValueError.
-    """
-    widen = t_start is None and t_end is None
-    if t_start is None:
-        t_start = int(stream.ts.min()) if len(stream) else 0
-    if t_end is None:
-        t_end = int(stream.ts.max()) if len(stream) else 1
-    return voxelize(stream, bins, t_start, max(t_end, t_start + 1) if widen else t_end)
 
 
 def position_embedding(width: int, height: int, order: BayerOrder, dim: int) -> np.ndarray:

@@ -3,9 +3,12 @@
 Architecture: per-pixel linear heads lift the image and the event voxel grid
 (each concatenated with a positional/Bayer feature) to a shared width; a
 cross-attention block fuses them, and a weight-shared two-block loop refines the
-fused feature into the broad light-range representation (each block's keys and
-values are projected once per encode); a scalar brightness prompt is embedded to
-a channel vector and merged into every layer of a pixel-wise MLP decoder.
+fused feature into the broad light-range representation, the BLR (each block's
+keys and values are projected once per encode); a scalar brightness prompt is
+embedded to a channel vector and merged into every layer of a pixel-wise MLP
+decoder.  Every feature from the heads to the decoder output is an (H*W, C)
+token matrix, one row per pixel in row-major order; only a taped forward and
+``forward_prompts`` lay their output out as an H x W image.
 Training minimizes a Charbonnier image term plus an L1 forward-difference
 gradient term, one ``autodiff.charbonnier_gradient_loss`` node on the tape.
 Training runs in float64; inference (``forward_prompts``) in float32, on a
@@ -22,14 +25,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .bayer import BayerOrder
-from .events import VoxelGrid, position_embedding, voxelize_stream
+from .events import VoxelGrid, position_embedding, voxelize
 from .imaging import RgbImage, brightness
 
 __all__ = [
     "SeeNetConfig",
     "SeeNetParams",
     "BrightnessPrompt",
-    "BlrFeature",
     "CALIBRATION_CONFIG",
     "init_params",
     "input_heads",
@@ -97,13 +99,6 @@ class BrightnessPrompt:
     def __post_init__(self) -> None:
         if not 0.0 < self.value < 1.0:
             raise ValueError(f"brightness prompt must lie in (0, 1), got {self.value}")
-
-
-@dataclass
-class BlrFeature:
-    """Broad light-range representation: the encoder's final H x W x C feature."""
-
-    tensor: Tensor
 
 
 @dataclass
@@ -251,15 +246,15 @@ def _cross_attention(query_flat: Tensor, kv: tuple[Tensor, Tensor], block: Atten
 def _head(stack: np.ndarray, l1: LinearParams, l2: LinearParams) -> Tensor:
     h, w, cin = stack.shape
     x = Tensor(stack.reshape(h * w, cin).astype(l1.w.data.dtype, copy=False))
-    out = _linear(ad.relu(_linear(x, l1)), l2)
-    return ad.reshape(out, (h, w, out.shape[1]))
+    return _linear(ad.relu(_linear(x, l1)), l2)
 
 
 def input_heads(
     img: RgbImage, voxels: VoxelGrid, pos: np.ndarray, params: SeeNetParams
 ) -> tuple[Tensor, Tensor]:
-    """Initial event and image features: two per-pixel linear layers with a
-    rectifier between, fed the inputs concatenated with the positional feature."""
+    """Initial event and image features, (H*W, C) each: two per-pixel linear
+    layers with a rectifier between, fed the inputs concatenated with the
+    positional feature."""
     if voxels.values.shape[:2] != img.values.shape[:2] or pos.shape[:2] != img.values.shape[:2]:
         raise ValueError("image, voxel grid, and positional feature sizes disagree")
     expected_in = params.head_event_1.w.shape[0]
@@ -272,15 +267,13 @@ def input_heads(
     return f_e, f_i
 
 
-def encode(f_e: Tensor, f_i: Tensor, config: SeeNetConfig, params: SeeNetParams) -> BlrFeature:
-    """Fuse then refine: F_1 = fuse(image queries events); each loop iteration
-    queries the running feature over the events, then the result over F_1.  Loop
-    weights are shared across iterations; each block projects its keys and values once."""
-    h, w, c = f_i.shape
-    e_flat = ad.reshape(f_e, (f_e.shape[0] * f_e.shape[1], c))
-    i_flat = ad.reshape(f_i, (h * w, c))
-    f_1 = _cross_attention(i_flat, project_memory(e_flat, params.fuse), params.fuse, config.heads)
-    events_kv = project_memory(e_flat, params.loop_event)
+def encode(f_e: Tensor, f_i: Tensor, config: SeeNetConfig, params: SeeNetParams) -> Tensor:
+    """Fuse then refine the (H*W, C) features into the (H*W, C) BLR: F_1 =
+    fuse(image queries events); each loop iteration queries the running feature
+    over the events, then the result over F_1.  Loop weights are shared across
+    iterations; each block projects its keys and values once."""
+    f_1 = _cross_attention(f_i, project_memory(f_e, params.fuse), params.fuse, config.heads)
+    events_kv = project_memory(f_e, params.loop_event)
     anchor_kv = project_memory(f_1, params.loop_anchor)
     f_j = f_1
     for j in range(config.loop_count):
@@ -288,7 +281,7 @@ def encode(f_e: Tensor, f_i: Tensor, config: SeeNetConfig, params: SeeNetParams)
         f_j = _cross_attention(a, anchor_kv, params.loop_anchor, config.heads)
         if not np.all(np.isfinite(f_j.data)):
             raise FloatingPointError(f"non-finite encoder feature at loop iteration {j}")
-    return BlrFeature(ad.reshape(f_j, (h, w, c)))
+    return f_j
 
 
 def prompt_embed(prompt: "BrightnessPrompt | float", params: SeeNetParams) -> Tensor:
@@ -303,27 +296,17 @@ def prompt_embed(prompt: "BrightnessPrompt | float", params: SeeNetParams) -> Te
     return ad.reshape(out, (out.shape[1],))
 
 
-def _decode_tensor(
-    blr: BlrFeature, b_vec: Tensor, config: SeeNetConfig, params: SeeNetParams
-) -> Tensor:
-    h, w, c = blr.tensor.shape
-    if b_vec.size != c:
+def decode(blr: Tensor, b_vec: Tensor, config: SeeNetConfig, params: SeeNetParams) -> Tensor:
+    """Pixel-wise MLP decoder from the (H*W, C) BLR to (H*W, 3) values; the
+    prompt embedding is merged into every layer and the final layer lands in
+    [0, 1] through a sigmoid."""
+    if b_vec.size != blr.shape[1]:
         raise ValueError("prompt embedding width does not match the feature channels")
-    x = ad.reshape(blr.tensor, (h * w, c))
+    x = blr
     for i, layer in enumerate(params.decoder):
         x = _linear(x * b_vec if config.prompt_merge == "multiply" else x + b_vec, layer)
         x = ad.sigmoid(x) if i == len(params.decoder) - 1 else ad.relu(x)
-    return ad.reshape(x, (h, w, 3))
-
-
-def decode(blr: BlrFeature, b_vec: Tensor, config: SeeNetConfig, params: SeeNetParams) -> RgbImage:
-    """Pixel-wise MLP decoder; the prompt embedding is merged into every layer
-    and the final layer lands in [0, 1] through a sigmoid.  The image is float64
-    whatever the parameters' dtype."""
-    values = _decode_tensor(blr, b_vec, config, params).data
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("non-finite decoder output")
-    return RgbImage(values)
+    return x
 
 
 def encode_image(
@@ -332,8 +315,8 @@ def encode_image(
     config: SeeNetConfig,
     params: SeeNetParams,
     pos: np.ndarray | None = None,
-) -> BlrFeature:
-    """The prompt-independent half of the network: heads -> encode."""
+) -> Tensor:
+    """The prompt-independent half of the network: heads -> encode, the (H*W, C) BLR."""
     if pos is None:
         pos = position_embedding(img.width, img.height, BayerOrder(config.bayer), config.pos_dim)
     f_e, f_i = input_heads(img, voxels, pos, params)
@@ -349,7 +332,7 @@ def _forward_tensor(
     pos: np.ndarray | None = None,
 ) -> Tensor:
     blr = encode_image(img, voxels, config, params, pos)
-    return _decode_tensor(blr, prompt_embed(prompt, params), config, params)
+    return ad.reshape(decode(blr, prompt_embed(prompt, params), config, params), (img.height, img.width, 3))
 
 
 def forward_prompts(
@@ -363,16 +346,23 @@ def forward_prompts(
     """Encode once, then decode once per prompt, in float32 on a float32 copy of
     ``params``; records no autodiff tape.
 
-    Every prompt is range-checked before the encoder runs.  An activation past
-    float32 range raises ``FloatingPointError`` (one message, no numpy warnings)."""
+    Every prompt is range-checked before the encoder runs.  The images are
+    float64.  An activation past float32 range raises ``FloatingPointError``
+    (one message, no numpy warnings)."""
     with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         params = _astype(params, np.float32)
         b_vecs = [prompt_embed(p, params) for p in prompts]
+        images = []
         try:
             blr = encode_image(img, voxels, config, params, pos)
-            return [decode(blr, b_vec, config, params) for b_vec in b_vecs]
+            for b_vec in b_vecs:
+                values = decode(blr, b_vec, config, params).data
+                if not np.all(np.isfinite(values)):
+                    raise FloatingPointError("non-finite decoder output")
+                images.append(RgbImage(values.reshape(img.height, img.width, 3)))
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} (inference runs in float32)") from None
+        return images
 
 
 def forward(
@@ -440,7 +430,7 @@ def train_toy(
                 img.width, img.height, BayerOrder(config.bayer), config.pos_dim
             )
         if id(input_rec) not in voxel_cache:
-            voxel_cache[id(input_rec)] = voxelize_stream(input_rec.events, config.voxel_bins)
+            voxel_cache[id(input_rec)] = voxelize(input_rec.events, config.voxel_bins)
         voxels = voxel_cache[id(input_rec)]
         prompt = brightness(target)
         pred = _forward_tensor(img, voxels, prompt, config, params, pos_cache[key])

@@ -6,7 +6,7 @@ import pytest
 
 import evseen.autodiff as ad
 from conftest import count_calls
-from evseen.autodiff import Tensor, collect_tape, grad_check, max_grad_error
+from evseen.autodiff import Tensor, collect_tape, max_grad_error
 
 
 def rand(shape, seed):
@@ -56,18 +56,18 @@ class TestGradCheck:
     PRIMITIVE_CASES = None  # built lazily below
 
     def test_sum_of_squares(self):
-        assert grad_check(lambda t: ad.mean(t * t), rand((3, 4), 1), h=1e-4, tol=1e-6)
+        assert max_grad_error(lambda t: ad.mean(t * t), rand((3, 4), 1), h=1e-4) < 1e-6
 
     def test_charbonnier_vs_zero_target(self):
         zero = np.zeros((4, 4, 3))
-        assert grad_check(lambda t: ad.charbonnier_gradient_loss(t, zero, 1.0, 0.0, 1e-3), rand((4, 4, 3), 2), tol=1e-4)
+        assert max_grad_error(lambda t: ad.charbonnier_gradient_loss(t, zero, 1.0, 0.0, 1e-3), rand((4, 4, 3), 2)) < 1e-4
 
     def test_wrong_backward_fails(self):
         def broken(t):
             out = ad._make(t.data * 2.0, (t,), lambda g: (g * 3.0,))
             return ad.mean(out)
 
-        assert not grad_check(broken, rand((3,), 3))
+        assert not max_grad_error(broken, rand((3,), 3)) < 1e-4
 
     def test_every_primitive_on_seeded_shapes(self):
         rng = np.random.default_rng(100)

@@ -1,15 +1,17 @@
+import argparse
 import json
 import os
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import count_calls, shifted_imu_pair, textured_image
 from evseen import align, formats, seenet
-from evseen.cli import main
+from evseen.cli import build_parser, main
 from evseen.imaging import RgbImage
 from evseen.pairing import synth_scene
 
@@ -722,3 +724,131 @@ class TestGradCheckCli:
         assert code == 2
         assert "tolerance must be finite and positive" in captured.err
         assert captured.out == ""
+
+
+# every numeric flag of every subcommand; "--scales" and "--prompt-sweep" carry the value inside their lists
+SWEEP_VALUES = ("0", "-1", "nan", "inf", str(2**63 - 1), str(-(2**63)), str(10**20))
+# the exit code for each of SWEEP_VALUES in order; "-" is an accepting run left out because its
+# flag sets the run's size or cost (unbounded RANSAC iterations or training steps, a 5 s grad-check)
+FLAG_SWEEP = {
+    ("simulate", "--t0-us"): "0011202",
+    ("simulate", "--dt-us"): "2211222",
+    ("simulate", "--threshold"): "2222020",
+    ("simulate", "--floor"): "2222020",
+    ("voxelize", "--bins"): "2211222",
+    ("voxelize", "--t-start"): "0011202",
+    ("voxelize", "--t-end"): "2211020",
+    ("register-imu", "--l-min-fraction"): "2222222",
+    ("eval-align", "--max-keypoints"): "2211020",
+    ("eval-align", "--ratio"): "2222222",
+    ("eval-align", "--iterations"): "2211-2-",
+    ("eval-align", "--inlier-px"): "2222020",
+    ("eval-align", "--seed"): "0211020",
+    ("pair", "--synth-seed"): "0211020",
+    ("pair", "--scales"): "2222020",
+    ("train-toy", "--seed"): "0211020",
+    ("train-toy", "--steps"): "2211-2-",
+    ("train-toy", "--lr"): "0222020",
+    ("enhance", "--prompt"): "2222222",
+    ("enhance", "--prompt-sweep"): "2222222",
+    ("grad-check", "--seed"): "-211-2-",
+    ("grad-check", "--tol"): "2222-2-",
+}
+WRITES_OUT = {"simulate", "voxelize", "pair", "train-toy", "enhance"}
+SWEEP_FRAMES = 4
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """Each subcommand's required arguments, on inputs small enough to sweep in-process."""
+    base = tmp_path_factory.mktemp("sweep")
+    formats.write_evsf(np.random.default_rng(0).uniform(0.1, 1.0, (SWEEP_FRAMES, 8, 8)), base / "field.evsf")
+    rec = synth_scene(0, lighting_scales=(0.25,), width=8, height=8, frames=3)[0]
+    formats.write_ppm(rec.frames[0], base / "input.ppm")
+    formats.write_events(rec.events, base / "events.evt0")
+    config = seenet.SeeNetConfig()
+    seenet.save_params(seenet.init_params(config), config, base / "model.evck")
+    source, target, _ = shifted_imu_pair(1, n=400, shift=7)
+    formats.write_imu_csv(source, base / "source.csv")
+    formats.write_imu_csv(target, base / "target.csv")
+    formats.write_ppm(textured_image(3, 48, 48), base / "image.ppm")
+    return {
+        "simulate": ["--field", str(base / "field.evsf")],
+        "voxelize": ["--events", str(base / "events.evt0")],
+        "register-imu": ["--source", str(base / "source.csv"), "--target", str(base / "target.csv")],
+        "eval-align": ["--image-a", str(base / "image.ppm"), "--image-b", str(base / "image.ppm")],
+        "pair": ["--synth-seed=0"],
+        "train-toy": ["--steps=2"],
+        "enhance": ["--input", str(base / "input.ppm"), "--events", str(base / "events.evt0"), "--checkpoint", str(base / "model.evck")],
+        "grad-check": [],
+    }
+
+
+class TestNumericFlagSweep:
+    """The flag-side twin of the reader truncation sweeps.  Sent 0, -1, nan, inf,
+    either int64 end or 1e20, every numeric flag exits with the code its table row
+    pins, with no traceback and one stderr line (for exit 1, the usage, wrapped at
+    the terminal width, then one error line); a run that exits 0 writes output
+    that keeps its invariants."""
+
+    def test_table_names_every_numeric_flag(self):
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        numeric = {
+            (name, action.option_strings[-1])
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.type in (int, float)
+        }
+        assert numeric <= set(FLAG_SWEEP)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, flag", list(FLAG_SWEEP))
+    def test_flag_at_its_extremes(self, sweep_inputs, tmp_path, capsys, command, flag):
+        for i, (value, expected) in enumerate(zip(SWEEP_VALUES, FLAG_SWEEP[command, flag])):
+            if expected == "-":
+                continue
+            arg = {"--scales": f"{value},1.0", "--prompt-sweep": f"{value}:{value}:{value}"}.get(flag, value)
+            out = tmp_path / str(i)
+            argv = [command, *sweep_inputs[command], f"{flag}={arg}"] + (["--out", str(out)] if command in WRITES_OUT else [])
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage exit
+                code = exc.code
+            captured = capsys.readouterr()
+            case = f"{command} {flag}={arg}: {captured.err!r}"
+            assert code == int(expected), case
+            assert "Traceback" not in captured.err, case
+            if code == 1:
+                usage, sep, error = captured.err.partition("\nerror: ")
+                assert usage.startswith(f"usage: evseen {command} ") and sep and error.count("\n") == 1, case
+            elif code:
+                assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), case
+            else:
+                assert captured.err == "" and captured.out.count("\n") == 1, case
+                self.check_output(command, flag, value, out, captured.out, sweep_inputs)
+
+    @staticmethod
+    def check_output(command, flag, value, out, stdout, inputs):
+        if command == "simulate":  # events sit on the frame times, in order
+            stream = formats.read_events(out / "events.evt0")
+            t0 = int(value) if flag == "--t0-us" else 0
+            assert stdout == f"events={len(stream)}\n"
+            assert np.all(np.diff(stream.ts) >= 0)
+            assert set(stream.ts.tolist()) <= {t0 + k * 10_000 for k in range(1, SWEEP_FRAMES)}
+        elif command == "voxelize":  # each pixel keeps its polarity sum, and its first moment over the bins
+            stream = formats.read_events(inputs["voxelize"][1])
+            grid = formats.read_evsf(out / "voxels.evsf")
+            bins = grid.shape[2]
+            t_start = int(value) if flag == "--t-start" else int(stream.ts[0])
+            t_end = int(value) if flag == "--t-end" else int(stream.ts[-1])
+            mass, moment = np.zeros(grid.shape[:2]), np.zeros(grid.shape[:2])
+            for x, y, t, p in zip(stream.xs, stream.ys, stream.ts.tolist(), stream.ps):
+                tau = min(max(Fraction(t - t_start, t_end - t_start) * (bins - 1), 0), bins - 1)
+                mass[y, x] += p
+                moment[y, x] += p * float(tau)
+            assert abs(float(stdout.removeprefix("sum=")) - int(stream.ps.sum())) < 1e-9
+            # the file holds float32 values; 1e-5 covers their rounding
+            assert np.allclose(grid.sum(axis=2), mass, rtol=0, atol=1e-5)
+            assert np.allclose(grid @ np.arange(bins), moment, rtol=0, atol=1e-5)
+        elif command == "train-toy":
+            assert np.all(np.isfinite(np.loadtxt(out / "losses.csv", delimiter=",", skiprows=1)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evseen.bayer import PATTERNS, BayerOrder, bayer_index
-from evseen.events import EventStream, position_embedding, simulate_events, voxelize, voxelize_stream
+from evseen.events import EventStream, position_embedding, simulate_events, voxelize
 from evseen.imaging import RadianceField
 
 
@@ -218,13 +218,13 @@ class TestVoxelize:
 
     def test_stream_window_widened_only_when_both_bounds_are_the_streams(self):
         stream = EventStream(2, 2, [0, 1], [1, 0], [500, 500], [1, -1])
-        grid = voxelize_stream(stream, 4)
+        grid = voxelize(stream, 4)
         assert (grid.t_start, grid.t_end) == (500, 501)
-        assert voxelize_stream(EventStream.empty(2, 2), 4).t_end == 1
+        assert voxelize(EventStream.empty(2, 2), 4).t_end == 1
         for t_start, t_end in [(500, None), (None, 500), (600, 400), (500, 500)]:
             with pytest.raises(ValueError, match="empty time window"):
-                voxelize_stream(stream, 4, t_start, t_end)
-        assert voxelize_stream(stream, 4, 400, None).t_end == 500
+                voxelize(stream, 4, t_start, t_end)
+        assert voxelize(stream, 4, 400, None).t_end == 500
 
 
 class TestPositionEmbedding:
