@@ -17,7 +17,6 @@ from .imaging import (
     RgbImage,
     apply_isp,
     brightness,
-    color_neutrality,
     exposure_ok,
     render_raw,
 )

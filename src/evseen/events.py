@@ -25,11 +25,36 @@ __all__ = [
 
 DEFAULT_LOG_FLOOR = 1e-6
 _INT64 = np.iinfo(np.int64)
+_SENSOR_LIMIT = 0xFFFF  # EVT0 headers store the sensor size as uint16, and coordinates are uint16
+
+
+def _stored(what: str, values, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array; a ValueError names the first value the cast would change."""
+    given = np.asarray(values)
+    if given.dtype == dtype:
+        return given
+    name = np.dtype(dtype).name
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+            stored = given.astype(dtype)
+    except (OverflowError, TypeError, ValueError):  # Python ints past 64 bits, or non-numbers
+        raise ValueError(f"event {what}s must be {name} values") from None
+    changed = np.flatnonzero(stored != given)
+    if changed.size:
+        i = changed[0]
+        raise ValueError(f"event {what} {given[i]} at index {i} changes when stored as {name}")
+    return stored
 
 
 @dataclass
 class EventStream:
-    """Events sorted by timestamp, ties broken by (y, x, p)."""
+    """Events ordered by timestamp, ties broken by (y, x, p).
+
+    The stream stores its own C-contiguous ``uint16`` coordinates, ``int64``
+    timestamps and ``int8`` polarities; a component whose values would change
+    when stored so (out of range or not integral) is a ValueError.  Construction
+    checks the order in one pass and sorts only a stream that is out of order.
+    """
 
     width: int
     height: int
@@ -39,10 +64,13 @@ class EventStream:
     ps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.xs = np.asarray(self.xs, dtype=np.uint16)
-        self.ys = np.asarray(self.ys, dtype=np.uint16)
-        self.ts = np.asarray(self.ts, dtype=np.int64)
-        self.ps = np.asarray(self.ps, dtype=np.int8)
+        if self.width > _SENSOR_LIMIT or self.height > _SENSOR_LIMIT:
+            raise ValueError(f"sensor {self.width}x{self.height} is larger than {_SENSOR_LIMIT} pixels on a side")
+        given = (self.xs, self.ys, self.ts, self.ps)
+        self.xs = _stored("x coordinate", self.xs, np.uint16)
+        self.ys = _stored("y coordinate", self.ys, np.uint16)
+        self.ts = _stored("timestamp", self.ts, np.int64)
+        self.ps = _stored("polarity", self.ps, np.int8)
         n = len(self.ts)
         if not (len(self.xs) == len(self.ys) == len(self.ps) == n):
             raise ValueError("event component arrays must share one length")
@@ -51,11 +79,28 @@ class EventStream:
                 raise ValueError("event coordinates outside sensor bounds")
             if not np.all(np.abs(self.ps) == 1):
                 raise ValueError("polarity must be +1 or -1")
-            order = np.lexsort((self.ps, self.xs, self.ys, self.ts))
-            self.xs = self.xs[order]
-            self.ys = self.ys[order]
-            self.ts = self.ts[order]
-            self.ps = self.ps[order]
+            if not self._in_order():
+                order = np.lexsort((self.ps, self.xs, self.ys, self.ts))
+                self.xs = self.xs[order]
+                self.ys = self.ys[order]
+                self.ts = self.ts[order]
+                self.ps = self.ps[order]
+        for name, before in zip(("xs", "ys", "ts", "ps"), given):
+            if isinstance(before, np.ndarray) and np.may_share_memory(getattr(self, name), before):
+                setattr(self, name, getattr(self, name).copy())
+
+    def _in_order(self) -> bool:
+        """Whether (t, y, x, p) never decreases; stamps are compared, not differenced,
+        since a difference of int64 stamps can wrap."""
+        later, earlier = self.ts[1:], self.ts[:-1]
+        if not np.all(later >= earlier):
+            return False
+        key = self.ys.astype(np.int64)  # (y * width + x) * 2 + (p > 0), built in place
+        key *= self.width
+        key += self.xs
+        key *= 2
+        key += self.ps > 0
+        return bool(np.all((np.diff(key) >= 0) | (later > earlier)))
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -109,35 +154,37 @@ def simulate_events(
     if not (np.isfinite(floor) and floor > 0):
         raise ValueError("log floor must be finite and positive")
 
-    logs = np.log(np.maximum(field.values, floor))
-    ref = logs[0].copy()
-    xs_parts: list[np.ndarray] = []
-    ys_parts: list[np.ndarray] = []
-    ts_parts: list[np.ndarray] = []
-    ps_parts: list[np.ndarray] = []
+    def log_level(frame: int) -> np.ndarray:
+        return np.log(np.maximum(field.values[frame], floor)).ravel()
+
+    ref = log_level(0)
+    pixels: list[np.ndarray] = []
+    reps: list[np.ndarray] = []
+    signs: list[np.ndarray] = []
+    per_frame: list[int] = []
     for f in range(1, field.frames):
-        delta = logs[f] - ref
+        delta = log_level(f) - ref
         # number of strict crossings: emit while |excess| > C, stepping by C
         counts = np.maximum(np.ceil(np.abs(delta) / threshold) - 1.0, 0.0).astype(np.int64)
-        fired = counts > 0
-        if fired.any():
-            yy, xx = np.nonzero(fired)
-            reps = counts[fired]
-            pol = np.sign(delta[fired]).astype(np.int8)
-            xs_parts.append(np.repeat(xx, reps))
-            ys_parts.append(np.repeat(yy, reps))
-            ps_parts.append(np.repeat(pol, reps))
-            ts_parts.append(np.full(int(reps.sum()), field.timestamps_us[f], dtype=np.int64))
-            ref += np.sign(delta) * counts * threshold
-    if not xs_parts:
-        return EventStream.empty(field.width, field.height)
+        fired = np.flatnonzero(counts)
+        count = counts[fired]
+        sign = np.sign(delta[fired])
+        ref[fired] += sign * count * threshold
+        pixels.append(fired)
+        reps.append(count)
+        signs.append(sign.astype(np.int8))
+        per_frame.append(int(count.sum()))
+    # frames in time order and pixels in raster order: the stream is built sorted,
+    # in the dtypes it stores (the constructor rejects a sensor too large for them)
+    per_pixel = np.concatenate(reps)
+    ys, xs = np.divmod(np.concatenate(pixels), field.width)
     return EventStream(
         field.width,
         field.height,
-        np.concatenate(xs_parts),
-        np.concatenate(ys_parts),
-        np.concatenate(ts_parts),
-        np.concatenate(ps_parts),
+        np.repeat(xs.astype(np.uint16), per_pixel),
+        np.repeat(ys.astype(np.uint16), per_pixel),
+        np.repeat(field.timestamps_us[1:], per_frame),
+        np.repeat(np.concatenate(signs), per_pixel),
     )
 
 
@@ -164,27 +211,49 @@ def voxelize(
         t_end = max(t_end, t_start + 1)
     if t_end <= t_start:
         raise ValueError(f"empty time window: t_end {t_end} <= t_start {t_start}")
-    grid = np.zeros((stream.height, stream.width, bins), dtype=np.float64)
+    shape = (stream.height, stream.width, bins)
+    cells = stream.height * stream.width * bins
+    if cells * 8 > np.iinfo(np.intp).max:  # no array holds it, and its int64 cell indices would wrap
+        raise ValueError(f"a {stream.height}x{stream.width}x{bins} voxel grid is larger than the maximum possible array")
     if len(stream) == 0:
-        return VoxelGrid(grid, t_start, t_end)
+        return VoxelGrid(np.zeros(shape), t_start, t_end)
+    # one bincount over every event's lower-bin weight, then every upper-bin one,
+    # so each cell sums its contributions in stream order, lower bins first; the
+    # arithmetic runs in place in the two halves of the index and weight arrays
+    n = len(stream)
+    index = np.empty(n if bins == 1 else 2 * n, dtype=np.int64)
+    weights = np.empty(len(index))
+    cell = index[:n]
+    cell[:] = stream.ys  # widened before the product, which overflows uint16
+    cell *= stream.width
+    cell += stream.xs
+    cell *= bins
     if bins == 1:
-        np.add.at(grid, (stream.ys, stream.xs, np.zeros(len(stream), dtype=np.int64)), stream.ps)
-        return VoxelGrid(grid, t_start, t_end)
-    # the stream is sorted, so its first and last stamps bound every int64 intermediate
-    span = t_end - t_start
-    first, last = ((int(stream.ts[i]) - t_start) * (bins - 1) for i in (0, -1))
-    if _INT64.min <= min(t_start, first) and max(t_start, span, last) <= _INT64.max:
-        tau = (stream.ts - t_start) * (bins - 1) / span
-    else:  # those intermediates would wrap in int64; float64 ones cannot
-        tau = (stream.ts - float(t_start)) * (bins - 1) / float(span)
-    tau = np.clip(tau, 0.0, bins - 1)
-    lo = np.minimum(np.floor(tau).astype(np.int64), bins - 2)
-    w_hi = tau - lo
-    w_lo = 1.0 - w_hi
-    pol = stream.ps.astype(np.float64)
-    np.add.at(grid, (stream.ys, stream.xs, lo), pol * w_lo)
-    np.add.at(grid, (stream.ys, stream.xs, lo + 1), pol * w_hi)
-    return VoxelGrid(grid, t_start, t_end)
+        weights[:] = stream.ps
+    else:
+        # the stream is sorted, so its first and last stamps bound every int64 intermediate
+        span = t_end - t_start
+        first, last = ((int(stream.ts[i]) - t_start) * (bins - 1) for i in (0, -1))
+        tau = weights[n:]
+        if _INT64.min <= min(t_start, first) and max(t_start, span, last) <= _INT64.max:
+            offset = stream.ts - t_start
+            offset *= bins - 1
+            np.true_divide(offset, span, out=tau)
+        else:  # those intermediates would wrap in int64; float64 ones cannot
+            np.subtract(stream.ts, float(t_start), out=tau)
+            tau *= bins - 1
+            tau /= float(span)
+        np.clip(tau, 0.0, bins - 1, out=tau)
+        lo = np.floor(tau).astype(np.int64)
+        np.minimum(lo, bins - 2, out=lo)
+        cell += lo
+        np.add(cell, 1, out=index[n:])
+        tau -= lo  # the upper bin's weight; the lower one's is 1 - that
+        np.subtract(1.0, tau, out=weights[:n])
+        weights[:n] *= stream.ps
+        weights[n:] *= stream.ps
+    grid = np.bincount(index, weights=weights, minlength=cells)
+    return VoxelGrid(grid.reshape(shape), t_start, t_end)
 
 
 def position_embedding(width: int, height: int, order: BayerOrder, dim: int) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "brightness",
     "exposure_class",
     "exposure_ok",
-    "color_neutrality",
 ]
 
 
@@ -149,24 +148,29 @@ def render_raw(field: RadianceField, frame: int, noise: NoiseModel, bit_depth: i
     """
     if not 0 <= frame < field.frames:
         raise IndexError(f"frame {frame} out of range [0, {field.frames})")
+    return RawImage(_quantize(field.values[frame : frame + 1], frame, noise, bit_depth)[0], bit_depth)
+
+
+def _quantize(radiance: np.ndarray, first: int, noise: NoiseModel, bit_depth: int) -> np.ndarray:
+    """``render_raw``'s readout of an (F, H, W) stack of frames ``first``, ``first`` + 1, ...;
+    frame f's noise is drawn from its own (rng_seed, f) generator."""
     if not 8 <= bit_depth <= 12:
         raise ValueError("bit_depth must be in [8, 12]")
-    radiance = field.values[frame]
     signal = radiance
     if noise.gaussian_sigma > 0 or noise.gaussian_mu != 0 or noise.shot_scale > 0:
-        rng = np.random.default_rng((noise.rng_seed & 0xFFFFFFFFFFFFFFFF, frame))
         signal = radiance.copy()
-        if noise.gaussian_sigma > 0 or noise.gaussian_mu != 0:
-            signal += rng.normal(noise.gaussian_mu, noise.gaussian_sigma, radiance.shape)
-        if noise.shot_scale > 0:
-            # photon count k = shot_scale * L; the voltage perturbation is the
-            # recentered count mapped back through the same gain, so the noise
-            # std is sqrt(L / shot_scale) and the zero-noise limit is unbiased
-            expected = noise.shot_scale * radiance
-            signal += (rng.poisson(expected) - expected) / noise.shot_scale
+        for i, frame in enumerate(signal):
+            rng = np.random.default_rng((noise.rng_seed & 0xFFFFFFFFFFFFFFFF, first + i))
+            if noise.gaussian_sigma > 0 or noise.gaussian_mu != 0:
+                frame += rng.normal(noise.gaussian_mu, noise.gaussian_sigma, frame.shape)
+            if noise.shot_scale > 0:
+                # photon count k = shot_scale * L; the voltage perturbation is the
+                # recentered count mapped back through the same gain, so the noise
+                # std is sqrt(L / shot_scale) and the zero-noise limit is unbiased
+                expected = noise.shot_scale * radiance[i]
+                frame += (rng.poisson(expected) - expected) / noise.shot_scale
     scale = (1 << bit_depth) - 1
-    quantized = np.clip(np.rint(signal * scale), 0, scale).astype(np.uint16)
-    return RawImage(quantized, bit_depth)
+    return np.clip(np.rint(signal * scale), 0, scale).astype(np.uint16)
 
 
 def apply_isp(raw: RawImage, bayer: BayerOrder = BayerOrder()) -> RgbImage:
@@ -175,17 +179,21 @@ def apply_isp(raw: RawImage, bayer: BayerOrder = BayerOrder()) -> RgbImage:
     Each output 2x2 block is filled with the block's R value, the mean of its two
     G values, and its B value; no tone curve is applied.
     """
-    if raw.width % 2 or raw.height % 2:
+    return RgbImage(_demosaic(raw.values[None], raw.bit_depth, bayer)[0])
+
+
+def _demosaic(raw: np.ndarray, bit_depth: int, bayer: BayerOrder) -> np.ndarray:
+    """``apply_isp`` over an (F, H, W) stack of RAW values: (F, H, W, 3) RGB values."""
+    if raw.shape[1] % 2 or raw.shape[2] % 2:
         raise ValueError("ISP requires even image dimensions")
-    norm = raw.values.astype(np.float64) / raw.max_value
-    cells = (norm[0::2, 0::2], norm[0::2, 1::2], norm[1::2, 0::2], norm[1::2, 1::2])
+    norm = raw.astype(np.float64) / ((1 << bit_depth) - 1)
+    cells = (norm[:, 0::2, 0::2], norm[:, 0::2, 1::2], norm[:, 1::2, 0::2], norm[:, 1::2, 1::2])
     positions = bayer.channel_positions()
     red = cells[positions["R"][0]]
     green = 0.5 * (cells[positions["G"][0]] + cells[positions["G"][1]])
     blue = cells[positions["B"][0]]
     small = np.stack([red, green, blue], axis=-1)
-    full = np.repeat(np.repeat(small, 2, axis=0), 2, axis=1)
-    return RgbImage(full)
+    return np.repeat(np.repeat(small, 2, axis=1), 2, axis=2)
 
 
 def brightness(img: RgbImage) -> float:
@@ -207,9 +215,3 @@ def exposure_class(value: float) -> str:
 def exposure_ok(img: RgbImage) -> bool:
     """Accurate-exposure predicate: mean brightness inside [0.4, 0.7] inclusive."""
     return exposure_class(brightness(img)) == "normal"
-
-
-def color_neutrality(img: RgbImage) -> float:
-    """Largest pairwise gap between channel means; 0 means perfectly neutral."""
-    means = img.values.reshape(-1, 3).mean(axis=0)
-    return float(max(abs(means[a] - means[b]) for a in range(3) for b in range(a + 1, 3)))

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bayer import BayerOrder
 from .events import EventStream, simulate_events
-from .imaging import NoiseModel, RadianceField, RgbImage, apply_isp, brightness, exposure_class, render_raw
+from .imaging import NoiseModel, RadianceField, RgbImage, _demosaic, _quantize, brightness, exposure_class
 
 __all__ = [
     "SceneRecording",
@@ -99,17 +100,13 @@ def _procedural_field(
     amp = rng.uniform(0.15, 0.3, n_blobs)
     sigma = rng.uniform(0.08, 0.18, n_blobs)
 
-    stack = np.empty((frames, height, width))
-    for f in range(frames):
-        s = f / max(frames - 1, 1)
-        frame = base * (1.0 + 0.08 * np.sin(2.0 * np.pi * s))
-        for b in range(n_blobs):
-            cx = (cx0[b] + velocity[b, 0] * s) % 1.0
-            cy = (cy0[b] + velocity[b, 1] * s) % 1.0
-            frame = frame + amp[b] * np.exp(
-                -((uu - cx) ** 2 + (vv - cy) ** 2) / (2.0 * sigma[b] ** 2)
-            )
-        stack[f] = np.clip(frame, 0.02, 0.98)
+    s = (np.arange(frames) / max(frames - 1, 1))[:, None, None]
+    stack = base * (1.0 + 0.08 * np.sin(2.0 * np.pi * s))
+    for b in range(n_blobs):
+        cx = (cx0[b] + velocity[b, 0] * s) % 1.0
+        cy = (cy0[b] + velocity[b, 1] * s) % 1.0
+        stack = stack + amp[b] * np.exp(-((uu - cx) ** 2 + (vv - cy) ** 2) / (2.0 * sigma[b] ** 2))
+    stack = np.clip(stack, 0.02, 0.98)
     timestamps = np.arange(frames, dtype=np.int64) * 10_000  # 100 fps
     return RadianceField(stack, timestamps)
 
@@ -138,9 +135,8 @@ def synth_scene(
         noise = NoiseModel(
             gaussian_sigma=noise_sigma, rng_seed=(seed * 1013 + 7 * idx) & 0xFFFFFFFF
         )
-        rendered = [
-            apply_isp(render_raw(scaled, f, noise, 8)) for f in range(scaled.frames)
-        ]
+        raw = _quantize(scaled.values, 0, noise, 8)
+        rendered = [RgbImage(rgb) for rgb in _demosaic(raw, 8, BayerOrder())]
         events = simulate_events(scaled, threshold)
         recordings.append(
             SceneRecording(

@@ -183,6 +183,19 @@ class TestSimulateVoxelize:
         assert "PiB" in proc.stderr
         assert not vox.exists()
 
+    @pytest.mark.parametrize("width", [65536, 65537])
+    def test_field_wider_than_evt0_sizes_exits_2_and_writes_nothing(self, tmp_path, capsys, width):
+        """A 65,536-pixel row could not have its width packed into the EVT0 header
+        (a traceback); a 65,537-pixel one also stored its last column as x = 0."""
+        field = tmp_path / "wide.evsf"
+        stack = np.ones((2, 1, width))
+        stack[1, 0, -1] = 10.0
+        formats.write_evsf(stack, field)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--field", str(field), "--threshold", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"domain error: sensor {width}x1 is larger than 65535 pixels on a side\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,95 @@ class TestSimulate:
         assert coords == sorted(coords)
 
 
+STORED = (np.uint16, np.uint16, np.int64, np.int8)
+
+
+def lexsorted(xs, ys, ts, ps):
+    """The stored (x, y, t, p) arrays in (t, y, x, p) order by one stable lexsort."""
+    xs, ys, ts, ps = (np.asarray(a, dtype=d) for a, d in zip((xs, ys, ts, ps), STORED))
+    order = np.lexsort((ps, xs, ys, ts))
+    return xs[order], ys[order], ts[order], ps[order]
+
+
+def stream_arrays(stream):
+    return stream.xs, stream.ys, stream.ts, stream.ps
+
+
+@st.composite
+def event_lists(draw):
+    """Small sensors and few stamps, so equal stamps, both polarities at one pixel
+    and repeated events are common; some lists come sorted, some as the stored
+    dtypes (the constructor must then copy rather than take them)."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, width - 1), st.integers(0, height - 1), st.integers(-3, 3), st.sampled_from([-1, 1])),
+            max_size=40,
+        )
+    )
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: (r[2], r[1], r[0], r[3]))
+    columns = [[r[i] for r in rows] for i in range(4)]
+    if draw(st.booleans()):
+        columns = [np.array(c, dtype=d) for c, d in zip(columns, STORED)]
+    return width, height, columns
+
+
+class TestEventStream:
+    @pytest.mark.parametrize(
+        "component, values, message",
+        [
+            ("xs", [65536], "event x coordinate 65536 at index 0 changes when stored as uint16"),
+            ("xs", [-65535], "event x coordinate -65535 at index 0 changes when stored as uint16"),
+            ("ps", [257], "event polarity 257 at index 0 changes when stored as int8"),
+            ("xs", [1.7], "event x coordinate 1.7 at index 0 changes when stored as uint16"),
+            ("ts", [0.9], "event timestamp 0.9 at index 0 changes when stored as int64"),
+        ],
+    )
+    def test_a_component_is_checked_before_it_is_narrowed(self, component, values, message):
+        """Each of these was once stored as a valid event: x = 65536 as 0, x = -65535
+        and x = 1.7 as 1, p = 257 as +1, t = 0.9 as 0."""
+        parts = {"xs": [0], "ys": [0], "ts": [0], "ps": [1], component: values}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EventStream(10, 10, **parts)
+
+    def test_stamps_past_int64_are_rejected(self):
+        with pytest.raises(ValueError, match="^event timestamps must be int64 values$"):
+            EventStream(10, 10, [0], [0], [10**20], [1])
+
+    def test_sensor_past_uint16_sizes_is_rejected(self):
+        with pytest.raises(ValueError, match="^sensor 1x65536 is larger than 65535 pixels on a side$"):
+            EventStream.empty(1, 65536)
+        assert EventStream(65535, 1, [65534], [0], [0], [1]).xs.tolist() == [65534]
+
+    def test_simulated_sensor_past_uint16_coordinates_is_rejected(self):
+        """The last column of a 65,537-pixel row would be stored as x = 0."""
+        values = np.ones((2, 1, 65537))
+        values[1, 0, -1] = 10.0
+        with pytest.raises(ValueError, match="^sensor 65537x1 is larger than 65535 pixels on a side$"):
+            simulate_events(RadianceField(values, [0, 1]), 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(event_lists())
+    def test_stream_is_the_lexsorted_input_and_owns_it(self, case):
+        width, height, columns = case
+        stream = EventStream(width, height, *columns)
+        for got, want, given_column in zip(stream_arrays(stream), lexsorted(*columns), columns):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+            assert not np.shares_memory(got, np.asarray(given_column))
+
+    def test_sorted_input_is_not_resorted(self, monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        rng = np.random.default_rng(5)
+        simulate_events(RadianceField(rng.uniform(0.1, 1.0, (6, 8, 8)), np.arange(6) * 100), 0.2)
+        assert calls == []
+        EventStream(4, 1, [1, 0], [0, 0], [0, 0], [1, 1])
+        assert calls == [1]
+
+
 class TestBayer:
     def test_rggb_origin(self):
         assert bayer_index(0, 0, BayerOrder("RGGB")) == 0
@@ -206,6 +297,33 @@ class TestVoxelize:
         np.add.at(expected, (stream.ys, stream.xs, lo), stream.ps * (1.0 - (tau - lo)))
         np.add.at(expected, (stream.ys, stream.xs, lo + 1), stream.ps * (tau - lo))
         assert voxelize(stream, bins, t_start, t_end).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bins", [1, 16])
+    def test_a_128_field_matches_the_add_at_formula(self, bins):
+        """The one-bincount scatter gives the bytes of two ``np.add.at`` passes, lower
+        bins then upper, on a 128x128, 16-frame field of about 230,000 events."""
+        rng = np.random.default_rng(128)
+        field = RadianceField(rng.uniform(0.3, 0.6, (16, 128, 128)), np.arange(16) * 10_000)
+        stream = simulate_events(field, 0.15)
+        t_start, t_end = int(stream.ts[0]), int(stream.ts[-1])
+        expected = np.zeros((128, 128, bins))
+        if bins == 1:
+            np.add.at(expected, (stream.ys, stream.xs, 0), stream.ps)
+        else:
+            tau = np.clip((stream.ts - t_start) * (bins - 1) / (t_end - t_start), 0.0, bins - 1)
+            lo = np.minimum(np.floor(tau).astype(np.int64), bins - 2)
+            np.add.at(expected, (stream.ys, stream.xs, lo), stream.ps * (1.0 - (tau - lo)))
+            np.add.at(expected, (stream.ys, stream.xs, lo + 1), stream.ps * (tau - lo))
+        assert len(stream) > 150_000
+        assert voxelize(stream, bins, t_start, t_end).values.tobytes() == expected.tobytes()
+
+    def test_cells_past_uint16_are_not_wrapped(self):
+        """Row 299 of a 300-pixel-wide sensor starts at cell 89,700, past uint16."""
+        stream = EventStream(300, 300, [299, 5], [299, 250], [0, 10], [1, -1])
+        grid = voxelize(stream, 3)
+        assert grid.values[299, 299].tolist() == [1.0, 0.0, 0.0]
+        assert grid.values[250, 5].tolist() == [0.0, 0.0, -1.0]
+        assert np.abs(grid.values).sum() == 2.0
 
     def test_single_bin(self):
         stream = EventStream(2, 2, [0, 0], [0, 0], [10, 20], [1, 1])

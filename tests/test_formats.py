@@ -177,6 +177,33 @@ class TestEvents:
         with pytest.raises(FormatError, match=f"record at byte {record}"):
             read_events(p)
 
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_read_stream_is_sorted_and_owns_contiguous_arrays(self, tmp_path, shuffle):
+        """The records are strided, read-only views of the file's bytes; the stream
+        keeps copies, sorted whatever order the file holds."""
+        stream = sample_stream(7)
+        order = np.random.default_rng(7).permutation(len(stream)) if shuffle else np.arange(len(stream))
+        records = np.empty(len(stream), dtype=[("x", "<u2"), ("y", "<u2"), ("t", "<i8"), ("p", "i1")])
+        for field, values in zip("xytp", (stream.xs, stream.ys, stream.ts, stream.ps)):
+            records[field] = values[order]
+        p = tmp_path / "a.evt0"
+        p.write_bytes(b"EVT0" + struct.pack("<HHQ", stream.width, stream.height, len(stream)) + records.tobytes())
+        back = read_events(p)
+        for got, want in zip((back.xs, back.ys, back.ts, back.ps), (stream.xs, stream.ys, stream.ts, stream.ps)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+
+    def test_csv_rows_out_of_order_are_sorted(self, tmp_path):
+        stream = sample_stream(8, n=40)
+        p = tmp_path / "shuffled.csv"
+        rows = [f"{x},{y},{t},{q:+d}" for x, y, t, q in zip(stream.xs, stream.ys, stream.ts, stream.ps)]
+        shuffled = [rows[i] for i in np.random.default_rng(8).permutation(len(rows))]
+        assert shuffled != rows
+        p.write_text("\n".join(["x,y,t_us,p", *shuffled]) + "\n")
+        back = read_events_csv(p, stream.width, stream.height)
+        for got, want in zip((back.xs, back.ys, back.ts, back.ps), (stream.xs, stream.ys, stream.ts, stream.ps)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_csv_non_utf8(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_bytes(b"x,y,t_us,p\n1,2,3,+1\xff\n")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -119,6 +120,27 @@ class TestSynth:
             assert all((fa.values == fb.values).all() for fa, fb in zip(ra.frames, rb.frames))
             assert (ra.events.ts == rb.events.ts).all()
             assert (ra.events.ps == rb.events.ps).all()
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((1, (0.25, 0.75, 1.0, 1.25), 16, 16), "c0674110851299726490dd663d3fb547213367a849553f4032f8bb918051d702"),
+            ((5,), "02b60c0b415ed4ef7540bd3aae62107415a44382f1e532ce71abcbc6e61c6ab5"),
+        ],
+    )
+    def test_outputs_pinned_to_the_byte(self, args, digest):
+        """SHA-256 over each recording's lighting class, frames and event arrays (with
+        their dtypes), computed when every frame was rendered by its own
+        ``render_raw``/``apply_isp`` call: the CLI's training scene and the default one."""
+        h = hashlib.sha256()
+        for rec in synth_scene(*args):
+            h.update(rec.lighting_class.encode())
+            for frame in rec.frames:
+                h.update(frame.values.tobytes())
+            for values in (rec.events.xs, rec.events.ys, rec.events.ts, rec.events.ps):
+                h.update(values.dtype.str.encode())
+                h.update(values.tobytes())
+        assert h.hexdigest() == digest
 
     def test_event_streams_scale_invariant(self):
         recordings = synth_scene(3, lighting_scales=(1.0, 1 / 8))
