@@ -1,6 +1,6 @@
 """Event-assisted brightness adjustment toolkit.
 
-Submodules: ``imaging`` (formation model and exposure predicates), ``events``
+Submodules: ``imaging`` (formation model and exposure classes), ``events``
 (trigger simulation, voxel grids, positional features), ``imu`` (temporal
 registration), ``align`` (spatial alignment metric), ``autodiff`` (tensor
 engine), ``seenet`` (the enhancement network), ``pairing`` (scene pairing and
@@ -8,7 +8,7 @@ synthesis), ``formats`` (file formats), ``cli`` (command line).
 """
 
 from .autodiff import Tensor
-from .bayer import BayerOrder, bayer_index
+from .bayer import BayerOrder
 from .events import EventStream, VoxelGrid, position_embedding, simulate_events, voxelize
 from .imaging import (
     NoiseModel,
@@ -17,7 +17,6 @@ from .imaging import (
     RgbImage,
     apply_isp,
     brightness,
-    exposure_ok,
     render_raw,
 )
 from .imu import ImuSequence, KalmanParams, Registration, kalman_denoise, register, register_exhaustive

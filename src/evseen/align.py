@@ -39,6 +39,7 @@ __all__ = [
 
 PATCH_RADIUS = 4  # descriptors are (2r+1) x (2r+1) intensity patches
 RANSAC_BLOCK = 128  # hypotheses scored per stacked block; bounds the (block, n, 2) temporaries
+HARRIS_K = 0.04  # trace weight of the Harris response det - k * trace^2
 
 
 def _invertible(m: np.ndarray) -> np.ndarray:
@@ -81,13 +82,6 @@ class AffineTransform:
     def to_line(self) -> str:
         """Six floats, row-major."""
         return ",".join(repr(float(v)) for v in self.matrix.reshape(-1))
-
-    @classmethod
-    def from_line(cls, line: str) -> "AffineTransform":
-        values = [float(v) for v in line.strip().split(",")]
-        if len(values) != 6:
-            raise ValueError("affine line must hold exactly 6 values")
-        return cls(np.array(values).reshape(2, 3))
 
 
 @dataclass
@@ -164,7 +158,7 @@ def _check_settings(
         raise ValueError(f"inlier threshold must be finite and positive, got {inlier_px}")
 
 
-def detect_keypoints(img: RgbImage, max_count: int = 200, harris_k: float = 0.04) -> list[Keypoint]:
+def detect_keypoints(img: RgbImage, max_count: int = 200) -> list[Keypoint]:
     """Harris corners, 3x3 non-max suppressed, strongest first, each placed at
     the subpixel vertex of its response (see ``_subpixel``).
 
@@ -180,7 +174,7 @@ def detect_keypoints(img: RgbImage, max_count: int = 200, harris_k: float = 0.04
     sxx = _box3(gx * gx)
     syy = _box3(gy * gy)
     sxy = _box3(gx * gy)
-    response = (sxx * syy - sxy * sxy) - harris_k * (sxx + syy) ** 2
+    response = (sxx * syy - sxy * sxy) - HARRIS_K * (sxx + syy) ** 2
     peaks = _nms3(response) & (response > 1e-9)
     # keep room for the descriptor patch
     peaks[: PATCH_RADIUS, :] = False

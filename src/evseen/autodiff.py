@@ -13,13 +13,13 @@ attention keeps each row's softmax log-sum-exp, never its logits).  Nodes
 are recorded with a global sequence number; the backward pass walks the
 reachable tape once in reverse creation order, which is always a valid
 topological order.  A node points only at its inputs, never at its output, so
-a tape is freed as soon as its last output tensor is dropped.  Inside
-``no_grad()`` nothing is recorded, so inference keeps no tape.
+a tape is freed as soon as its last output tensor is dropped.  An op is
+recorded only when an input is a leaf that requires a gradient or a recorded
+output, so a forward over tensors that need no gradient keeps no tape.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,11 +41,9 @@ __all__ = [
     "charbonnier_gradient_loss",
     "max_grad_error",
     "collect_tape",
-    "no_grad",
 ]
 
 _SEQ = itertools.count()
-_RECORDING = True  # switched off by no_grad()
 ATTENTION_BLOCK = 1 << 17  # logits per block of attention query rows: 1 MiB of float64 or 512 KiB of float32, cache-sized
 _FLOAT32 = np.dtype(np.float32)
 
@@ -149,24 +147,9 @@ def _send(t: Tensor, g: np.ndarray, grads: dict) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Record no tape inside the block: outputs carry values but no ``_node``.
-
-    The switch is process-wide, not per thread; blocks nest, and leaving one
-    (by an exception too) restores the state it found."""
-    global _RECORDING
-    saved = _RECORDING
-    _RECORDING = False
-    try:
-        yield
-    finally:
-        _RECORDING = saved
-
-
 def _taping(inputs: tuple[Tensor, ...]) -> bool:
-    """True when an op on ``inputs`` is recorded: outside no_grad, with an input that needs a gradient."""
-    return _RECORDING and any(t.requires_grad or t._node is not None for t in inputs)
+    """True when an op on ``inputs`` is recorded: an input is a leaf that requires a gradient, or a recorded output."""
+    return any(t.requires_grad or t._node is not None for t in inputs)
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["BayerOrder", "PATTERNS"]
+
 PATTERNS = ("RGGB", "BGGR", "GRBG", "GBRG")
 
 
@@ -38,9 +40,3 @@ class BayerOrder:
         for pos, letter in enumerate(self.pattern):
             out[letter].append(pos)
         return out
-
-
-def bayer_index(x: int, y: int, order: BayerOrder) -> int:
-    """Filter index in {0,1,2,3} of pixel (x, y); 2-periodic along both axes."""
-    pos = 2 * (y % 2) + (x % 2)
-    return order.canonical_slots()[pos]

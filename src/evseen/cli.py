@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import align, autodiff, formats, imu, pairing, seenet
-from .events import simulate_events, voxelize
+from .events import DEFAULT_LOG_FLOOR, simulate_events, voxelize
 from .imaging import RadianceField, RgbImage
 
 USAGE_EXIT, DOMAIN_EXIT, IO_EXIT, NUMERIC_EXIT = 1, 2, 3, 4
@@ -292,7 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t0-us", type=int, default=0, dest="t0_us")
     p.add_argument("--dt-us", type=int, default=10_000, dest="dt_us")
     p.add_argument("--threshold", type=float, default=0.25)
-    p.add_argument("--floor", type=float, default=1e-6)
+    p.add_argument("--floor", type=float, default=DEFAULT_LOG_FLOOR)
     p.add_argument("--csv", action="store_true", help="also write events.csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)

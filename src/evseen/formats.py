@@ -231,7 +231,7 @@ def read_events_csv(path: str | Path, width: int, height: int) -> EventStream:
             ps.append(int(parts[3]))
         except ValueError as exc:
             raise FormatError(f"malformed event CSV row at line {lineno}") from exc
-        if not (0 <= xs[-1] < width and 0 <= ys[-1] < height and abs(ps[-1]) == 1 and abs(ts[-1]) < 2**63):
+        if not (0 <= xs[-1] < width and 0 <= ys[-1] < height and abs(ps[-1]) == 1 and -(2**63) <= ts[-1] < 2**63):
             raise FormatError(f"event CSV row at line {lineno} is off the {width}x{height} sensor or out of range")
     return EventStream(width, height, np.array(xs), np.array(ys), np.array(ts), np.array(ps))
 
@@ -371,16 +371,14 @@ def save_checkpoint(named_arrays: list[tuple[str, np.ndarray]], config_text: str
         name = next(name for name, arr in named_arrays if not finite_as_f4(arr))
         raise OverflowError(f"checkpoint parameter {name} has a value that is not finite as float32")
     blobs = [(name, evsf_bytes(arr)) for name, arr in named_arrays]
-    index_size = 4 + 4 + len(config_text.encode()) + 4
-    for name, _ in blobs:
-        index_size += 2 + len(name.encode()) + 8
+    cfg = config_text.encode("utf-8")
     out = bytearray()
     out += _CKPT_MAGIC
-    cfg = config_text.encode("utf-8")
     out += struct.pack("<I", len(cfg))
     out += cfg
     out += struct.pack("<I", len(blobs))
-    offset = index_size
+    # the index: magic, config length, config, count, then per array a name length, name and offset
+    offset = 12 + len(cfg) + sum(10 + len(name.encode("utf-8")) for name, _ in blobs)
     payload = bytearray()
     for name, blob in blobs:
         encoded = name.encode("utf-8")

@@ -23,7 +23,6 @@ __all__ = [
     "apply_isp",
     "brightness",
     "exposure_class",
-    "exposure_ok",
 ]
 
 
@@ -210,8 +209,3 @@ def exposure_class(value: float) -> str:
     if value < EXPOSURE_BAND[0] - _BAND_EPS:
         return "low"
     return "normal" if value <= EXPOSURE_BAND[1] + _BAND_EPS else "high"
-
-
-def exposure_ok(img: RgbImage) -> bool:
-    """Accurate-exposure predicate: mean brightness inside [0.4, 0.7] inclusive."""
-    return exposure_class(brightness(img)) == "normal"

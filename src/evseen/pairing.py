@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 LIGHTING_CLASSES = ("low", "normal", "high")
+SYNTH_NOISE_SIGMA = 0.003  # Gaussian read noise of synth_scene's frames, in radiance units
+SYNTH_THRESHOLD = 0.25  # log-contrast threshold of synth_scene's event streams
 
 
 @dataclass
@@ -37,10 +39,6 @@ class SceneRecording:
     def __post_init__(self) -> None:
         if self.lighting_class not in LIGHTING_CLASSES:
             raise ValueError(f"lighting_class must be one of {LIGHTING_CLASSES}")
-
-    def mean_frame(self) -> RgbImage:
-        stack = np.stack([f.values for f in self.frames])
-        return RgbImage(stack.mean(axis=0))
 
 
 @dataclass
@@ -117,8 +115,6 @@ def synth_scene(
     width: int = 24,
     height: int = 24,
     frames: int = 10,
-    noise_sigma: float = 0.003,
-    threshold: float = 0.25,
 ) -> list[SceneRecording]:
     """Render one procedural scene under each exposure scale.
 
@@ -133,11 +129,11 @@ def synth_scene(
     for idx, scale in enumerate(lighting_scales):
         scaled = RadianceField(field.values * scale, field.timestamps_us)
         noise = NoiseModel(
-            gaussian_sigma=noise_sigma, rng_seed=(seed * 1013 + 7 * idx) & 0xFFFFFFFF
+            gaussian_sigma=SYNTH_NOISE_SIGMA, rng_seed=(seed * 1013 + 7 * idx) & 0xFFFFFFFF
         )
         raw = _quantize(scaled.values, 0, noise, 8)
         rendered = [RgbImage(rgb) for rgb in _demosaic(raw, 8, BayerOrder())]
-        events = simulate_events(scaled, threshold)
+        events = simulate_events(scaled, SYNTH_THRESHOLD)
         recordings.append(
             SceneRecording(
                 scene_id=f"synth-{seed}",

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
+from . import formats
 from .autodiff import Tensor
 from .bayer import BayerOrder
 from .events import VoxelGrid, position_embedding, voxelize
@@ -344,12 +345,13 @@ def forward_prompts(
     pos: np.ndarray | None = None,
 ) -> list[RgbImage]:
     """Encode once, then decode once per prompt, in float32 on a float32 copy of
-    ``params``; records no autodiff tape.
+    ``params``.  No tensor of that copy requires a gradient, so no autodiff
+    tape is recorded.
 
     Every prompt is range-checked before the encoder runs.  The images are
     float64.  An activation past float32 range raises ``FloatingPointError``
     (one message, no numpy warnings)."""
-    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         params = _astype(params, np.float32)
         b_vecs = [prompt_embed(p, params) for p in prompts]
         images = []
@@ -401,17 +403,14 @@ def train_toy(
 ) -> tuple[SeeNetParams, list[float]]:
     """Plain SGD on the training loss over enumerated frame pairs.
 
-    ``dataset`` is a PairSet or list of PairSets; the prompt for each step is the
-    target frame's global brightness.  Deterministic given the config seed.
+    ``dataset`` is a PairSet; the prompt for each step is the target frame's
+    global brightness.  Deterministic given the config seed.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError("learning rate must be finite and >= 0")
-    pair_sets = dataset if isinstance(dataset, (list, tuple)) else [dataset]
-    samples = []
-    for ps in pair_sets:
-        samples.extend(ps.frame_pairs())
+    samples = dataset.frame_pairs()
     if not samples:
         raise ValueError("empty training dataset")
 
@@ -453,8 +452,6 @@ def train_toy(
 
 
 def save_params(params: SeeNetParams, config: SeeNetConfig, path) -> None:
-    from . import formats
-
     formats.save_checkpoint(
         [(name, t.data) for name, t in params.named_tensors()],
         formats.config_to_text(config),
@@ -463,8 +460,6 @@ def save_params(params: SeeNetParams, config: SeeNetConfig, path) -> None:
 
 
 def load_params(path) -> tuple[SeeNetParams, SeeNetConfig]:
-    from . import formats
-
     arrays, text = formats.load_checkpoint(path)
     config = formats.config_from_text(text, SeeNetConfig)
     stored, needed = sum(a.size for a in arrays.values()), parameter_count(config)
@@ -506,7 +501,7 @@ def parameter_count(config: SeeNetConfig) -> int:
 
 
 def end_to_end_grad_errors(
-    config: SeeNetConfig, height: int = 6, width: int = 6, seed: int = 0, h: float = 1e-5
+    config: SeeNetConfig, height: int = 6, width: int = 6, seed: int = 0
 ) -> dict[str, float]:
     """Finite-difference error of d(loss)/d(group) for every parameter group."""
     rng = np.random.default_rng(seed)
@@ -522,5 +517,5 @@ def end_to_end_grad_errors(
 
     errors: dict[str, float] = {}
     for name, tensor in params.named_tensors():
-        errors[name] = ad.max_grad_error(objective, tensor, h)
+        errors[name] = ad.max_grad_error(objective, tensor)
     return errors

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evseen.bayer import PATTERNS, BayerOrder, bayer_index
+from evseen.bayer import PATTERNS, BayerOrder
 from evseen.events import EventStream, position_embedding, simulate_events, voxelize
 from evseen.imaging import RadianceField
 
@@ -206,20 +206,27 @@ class TestEventStream:
 
 
 class TestBayer:
+    """The Bayer slot of each pixel, read back from channel 2 of ``position_embedding``."""
+
+    @staticmethod
+    def slots(pattern, width=9, height=7):
+        return np.rint(position_embedding(width, height, BayerOrder(pattern), 3)[..., 2] * 3).astype(int)
+
     def test_rggb_origin(self):
-        assert bayer_index(0, 0, BayerOrder("RGGB")) == 0
-        assert bayer_index(1, 0, BayerOrder("RGGB")) == 1
+        slots = self.slots("RGGB")
+        assert slots[0, 0] == 0
+        assert slots[0, 1] == 1
 
-    @given(st.integers(0, 500), st.integers(0, 500), st.sampled_from(PATTERNS))
-    def test_periodicity(self, x, y, pattern):
-        order = BayerOrder(pattern)
-        assert bayer_index(x, y, order) == bayer_index(x + 2, y + 2, order)
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_periodicity(self, pattern):
+        slots = self.slots(pattern, 503, 503)
+        assert np.array_equal(slots[2:, 2:], slots[:-2, :-2])
 
-    @given(st.sampled_from(PATTERNS))
+    @pytest.mark.parametrize("pattern", PATTERNS)
     def test_surjective_on_block(self, pattern):
-        order = BayerOrder(pattern)
-        block = {bayer_index(x, y, order) for x in range(2) for y in range(2)}
-        assert block == {0, 1, 2, 3}
+        slots = self.slots(pattern)
+        blocks = np.stack([slots[:-1, :-1], slots[:-1, 1:], slots[1:, :-1], slots[1:, 1:]], axis=-1)
+        assert (np.sort(blocks, axis=-1) == [0, 1, 2, 3]).all()
 
 
 class TestVoxelize:

@@ -152,13 +152,21 @@ class TestEvents:
         write_events_csv(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("t", [-(2**63), 2**63 - 1])
+    def test_csv_round_trips_each_int64_end(self, tmp_path, t):
+        stream = EventStream(4, 4, [1], [2], [t], [-1])
+        p = tmp_path / "end.csv"
+        write_events_csv(stream, p)
+        back = read_events_csv(p, 4, 4)
+        assert back.ts.tolist() == [t] and (back.xs[0], back.ys[0], back.ps[0]) == (1, 2, -1)
+
     def test_csv_malformed_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y,t_us,p\n1,2,3,+1\n1,2\n")
         with pytest.raises(FormatError, match="line 3"):
             read_events_csv(p, 4, 4)
 
-    @pytest.mark.parametrize("row", ["4,0,5,+1", "0,-1,5,+1", "0,0,5,+2", "0,0,5,0", f"0,0,{2**63},+1"])
+    @pytest.mark.parametrize("row", ["4,0,5,+1", "0,-1,5,+1", "0,0,5,+2", "0,0,5,0", f"0,0,{2**63},+1", f"0,0,{-(2**63) - 1},+1"])
     def test_csv_row_off_sensor_or_polarity_reports_line(self, tmp_path, row):
         p = tmp_path / "bad.csv"
         p.write_text(f"x,y,t_us,p\n1,2,3,+1\n{row}\n")

@@ -12,7 +12,7 @@ from evseen.imaging import (
     RgbImage,
     apply_isp,
     brightness,
-    exposure_ok,
+    exposure_class,
     render_raw,
 )
 
@@ -145,10 +145,10 @@ class TestPredicates:
         assert brightness(scaled) == pytest.approx(alpha * brightness(base), abs=1e-12)
 
     def test_exposure_band(self):
-        assert exposure_ok(uniform_rgb(0.5))
-        assert not exposure_ok(uniform_rgb(0.39))
-        assert exposure_ok(uniform_rgb(0.7))
-        assert exposure_ok(uniform_rgb(0.4))
+        assert exposure_class(brightness(uniform_rgb(0.5))) == "normal"
+        assert exposure_class(brightness(uniform_rgb(0.39))) != "normal"
+        assert exposure_class(brightness(uniform_rgb(0.7))) == "normal"
+        assert exposure_class(brightness(uniform_rgb(0.4))) == "normal"
 
     def test_exposure_matches_brightness_on_grid(self):
         # nominal grid values sit >= 0.01 away from the band edges except the
@@ -156,4 +156,4 @@ class TestPredicates:
         for step in range(101):
             value = step / 100.0
             img = uniform_rgb(value)
-            assert exposure_ok(img) == (0.4 <= value <= 0.7), value
+            assert (exposure_class(brightness(img)) == "normal") == (0.4 <= value <= 0.7), value
