@@ -9,7 +9,13 @@ and exactly the primitive set the enhancement network needs: matmul, reshape,
 last-axis concat and softmax, relu, sigmoid, whole-tensor means, and
 attention, layer norm and the training loss as one tape node each with an
 analytic backward, attention in blocks of ``ATTENTION_BLOCK`` logits (a taped
-attention keeps each row's softmax log-sum-exp, never its logits).  Nodes
+attention keeps each row's softmax log-sum-exp, never its logits).  A float32
+attention head skips the softmax's max shift when max|q_i| max|k_j| + log(M
+max(1, max|v|)) <= ``EXP_SAFE`` (80): then no exp(logit) leaves float32's
+normal range and no sum overflows, and one product with [v | 1] gives the
+numerator and, in its last column, the denominator.  A head past the bound (a
+NaN or inf input included) and every float64 call, the training and reference
+precision, run the max-shifted softmax.  Nodes
 are recorded with a global sequence number; the backward pass walks the
 reachable tape once in reverse creation order, which is always a valid
 topological order.  A node points only at its inputs, never at its output, so
@@ -45,6 +51,7 @@ __all__ = [
 
 _SEQ = itertools.count()
 ATTENTION_BLOCK = 1 << 17  # logits per block of attention query rows: 1 MiB of float64 or 512 KiB of float32, cache-sized
+EXP_SAFE = 80.0  # bound on max|q| max|k| + log(M max(1, max|v|)) under which float32 attention skips its max shift; float32 exp(x) is finite and normal for |x| <= 87
 _FLOAT32 = np.dtype(np.float32)
 
 
@@ -240,22 +247,48 @@ def _aligned_empty(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
+def _exp_safe(qh: np.ndarray, kh_t: np.ndarray, vh: np.ndarray) -> bool:
+    """True when one float32 head may run with no max shift: B + log(M max(1,
+    max|v|)) <= EXP_SAFE, with B = max_i |q_i| max_j |k_j| >= |q_i . k_j|
+    (Cauchy-Schwarz).  Every exp(logit) then lies in [e^-80, e^80], normal in
+    float32, and every row sum and numerator stays under e^80.  A NaN or inf
+    input makes the bound NaN or inf, and the test false."""
+    qq = np.einsum("ij,ij->i", qh, qh).max(initial=0.0)
+    kk = np.einsum("ij,ij->j", kh_t, kh_t).max(initial=0.0)
+    bound = np.sqrt(qq) * np.sqrt(kk) + np.log(vh.shape[0] * np.maximum(1.0, np.abs(vh).max(initial=0.0)))
+    return bool(np.all(bound <= EXP_SAFE))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """softmax(q_h k_h^T) v_h for each head's block of C / heads columns of the
-    (N, C) queries and (M, C) keys and values, as one tape node, over blocks of
-    max(1, ATTENTION_BLOCK // M) query rows: one block's probabilities exist at a
-    time, in one reused buffer.  A taped forward keeps only each block row's
-    log-sum-exp L.  The backward rebuilds p = exp(q_h k_h^T - L) with no max or
-    sum, takes the softmax's row term from D = rowsum(g * out), an N x d product
-    (FlashAttention-2, Dao 2023), and forms dlogits = p * (g v_h^T - D) in a
-    second buffer.  Its gradients differ from a backward through the full softmax
-    by rounding: under 1e-15 of the largest on the network's training steps."""
-    if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:] or heads < 1 or q.shape[1] % heads:
+    (N, C) queries and (M >= 1, C) keys and values, as one tape node, over blocks
+    of max(1, ATTENTION_BLOCK // M) query rows: one block's logits exist at a
+    time, in one reused buffer.
+
+    A float32 head whose logits the Cauchy-Schwarz bound of ``_exp_safe`` keeps
+    within +-80 takes no max shift (Milakov & Gimelshein 2018): p = exp(q_h
+    k_h^T) in place, then one product p @ [v_h | 1] whose last column is the
+    softmax denominator, divided out of the (rows, d) numerator (deferred
+    normalisation: Rabe & Staats 2021), three passes over each block of logits.
+    Every other head, and every float64 call (training and reference
+    precision), runs the max-shifted softmax and then p @ v_h, seven passes.
+    A taped forward keeps only each block row's log-sum-exp L, the log of the
+    denominator on either path.  The backward rebuilds p = exp(q_h k_h^T - L)
+    with no max or sum, takes the softmax's row term from D = rowsum(g * out),
+    an N x d product (FlashAttention-2, Dao 2023), and forms dlogits = p * (g
+    v_h^T - D) in a second buffer.  Its gradients differ from a backward through
+    the full softmax by rounding: under 1e-15 of the largest on the network's
+    training steps."""
+    if (
+        q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:] or not k.shape[0]
+        or heads < 1 or q.shape[1] % heads
+    ):
         raise ValueError(f"attention shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
     d = q.shape[1] // heads
     cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
-    step = max(1, ATTENTION_BLOCK // max(1, k.shape[0]))
+    step = max(1, ATTENTION_BLOCK // k.shape[0])
     rows = [slice(i, min(i + step, q.shape[0])) for i in range(0, q.shape[0], step)]
+    float32 = all(t.data.dtype is _FLOAT32 for t in (q, k, v))
 
     def blocks(c: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return q.data[:, c].copy(), k.data[:, c].T.copy(), v.data[:, c].copy()
@@ -266,10 +299,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     block = (min(step, q.shape[0]), k.shape[0])  # one block's logits; every block reuses the same buffers
     buf = _aligned_empty(block, q.data.dtype)
     for c, (qh, kh_t, vh) in zip(cols, map(blocks, cols)):
+        unshifted = float32 and _exp_safe(qh, kh_t, vh)
+        if unshifted:  # [v_h | 1]: the product's last column is the softmax denominator
+            vh = np.concatenate([vh, np.ones((vh.shape[0], 1), vh.dtype)], axis=1)
         for r in rows:
             p = np.matmul(qh[r], kh_t, out=buf[: r.stop - r.start])
-            row_lse = _softmax_(p)
-            out[r, c] = p @ vh
+            if unshifted:
+                np.exp(p, out=p)
+                nd = p @ vh
+                out[r, c] = nd[:, :d] / nd[:, d:]
+                row_lse = np.log(nd[:, d:])
+            else:
+                row_lse = _softmax_(p)
+                out[r, c] = p @ vh
             if taped:
                 lse.append(row_lse)
 

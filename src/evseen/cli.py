@@ -20,7 +20,16 @@ from .events import DEFAULT_LOG_FLOOR, simulate_events, voxelize
 from .imaging import RadianceField, RgbImage
 
 USAGE_EXIT, DOMAIN_EXIT, IO_EXIT, NUMERIC_EXIT = 1, 2, 3, 4
-_ENHANCED_NAME = "enhanced_{:.2f}.ppm"  # one output per prompt, named to two decimals
+
+
+def _prompt_label(value: float) -> str:
+    """The prompt as it names its output and labels its grid tile: the shortest
+    decimal that reads back as ``value``, with at least two places (0.5 -> 0.50)."""
+    return np.format_float_positional(value, min_digits=2)
+
+
+def _enhanced_name(value: float) -> str:
+    return f"enhanced_{_prompt_label(value)}.ppm"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,7 +185,7 @@ def _parse_sweep(spec: str) -> list[float]:
         raise ValueError("sweep start, stop and step must be finite")
     if not 0 < a <= b < 1:
         raise ValueError("sweep prompts need 0 < start <= stop < 1")
-    if step < 0.01:  # outputs are named by the prompt to two decimals
+    if step < 0.01:  # at most 100 prompts
         raise ValueError("sweep step must be at least 0.01")
     values = []
     v = a
@@ -185,7 +194,7 @@ def _parse_sweep(spec: str) -> list[float]:
         v += step
     named: dict[str, float] = {}
     for v in values:
-        name = _ENHANCED_NAME.format(v)
+        name = _enhanced_name(v)
         if name in named:
             raise ValueError(f"sweep prompts {named[name]} and {v} would both be written to {name}")
         named[name] = v
@@ -200,7 +209,7 @@ def _render_grid(tiles: list[tuple[float, RgbImage]]) -> RgbImage:
     canvas = np.ones((tile_h + label_h, tile_w * len(tiles), 3))
     for i, (value, img) in enumerate(tiles):
         canvas[:tile_h, i * tile_w : (i + 1) * tile_w] = img.values
-        _draw_text(canvas, f"{value:.2f}", i * tile_w + 1, tile_h + 2)
+        _draw_text(canvas, _prompt_label(value), i * tile_w + 1, tile_h + 2)
     return RgbImage(np.clip(canvas, 0.0, 1.0))
 
 
@@ -250,7 +259,7 @@ def _cmd_enhance(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for value, image in zip(prompts, rendered):
-        out_path = out_dir / _ENHANCED_NAME.format(value)
+        out_path = out_dir / _enhanced_name(value)
         formats.write_ppm(image, out_path)
         outputs.append(out_path)
     if len(prompts) > 1:

@@ -227,6 +227,114 @@ class TestAttention:
         for got, want in zip((q.grad, k.grad, v.grad), expected):
             assert np.abs(got - want).max() <= 1e-12 * largest
 
+    # float32 attention against the float64 max-shifted reference on the same
+    # (float32) values: at most 1.5e-6 of the largest output measured over these shapes
+    FLOAT32_GAP = 2e-6
+
+    @staticmethod
+    def f32(shape, seed):
+        return Tensor(np.random.default_rng(seed).normal(size=shape).astype(np.float32))
+
+    @classmethod
+    def assert_near_reference(cls, out, q, k, v, heads):
+        want = cls.reference(*(t.data.astype(np.float64) for t in (q, k, v)), heads)
+        assert out.data.dtype == np.float32 and np.all(np.isfinite(out.data))
+        assert np.abs(out.data - want).max() <= cls.FLOAT32_GAP * np.abs(want).max()
+
+    @staticmethod
+    def shifted(q, k, v, heads, softmax=ad._softmax_):
+        """The max-shifted forward the fallback runs, written out: per head and
+        block of max(1, ATTENTION_BLOCK // M) query rows, logits into an aligned
+        buffer, the in-place softmax, then p @ v_h.  ``softmax`` is bound when
+        the class is made, so a counting wrapper installed later misses these calls."""
+        (n, c), m = q.shape, k.shape[0]
+        d, step = c // heads, max(1, ad.ATTENTION_BLOCK // m)
+        out = np.empty_like(q)
+        buf = ad._aligned_empty((min(step, n), m), q.dtype)
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            qh, kh_t, vh = q[:, cols].copy(), k[:, cols].T.copy(), v[:, cols].copy()
+            for i in range(0, n, step):
+                p = np.matmul(qh[i : i + step], kh_t, out=buf[: min(step, n - i)])
+                softmax(p)
+                out[i : i + step, cols] = p @ vh
+        return out
+
+    @pytest.mark.parametrize(
+        "n, m, c, heads",
+        [(5, 5, 4, 1), (5, 7, 4, 2), (6, 3, 4, 4), (1, 9, 6, 3), (16, 16, 16, 2), (1024, 1024, 16, 2), (1024, 1024, 248, 8)],
+    )
+    def test_float32_takes_no_max_shift_under_the_bound(self, monkeypatch, n, m, c, heads):
+        softmaxes = count_calls(monkeypatch, ad, "_softmax_")
+        q, k, v = self.f32((n, c), 40), self.f32((m, c), 41), self.f32((m, c), 42)
+        self.assert_near_reference(ad.attention(q, k, v, heads), q, k, v, heads)
+        assert softmaxes == []
+
+    # the last case runs blocks of 4 query rows over 23 keys: 9 full and a last of 1
+    @pytest.mark.parametrize("n, m, c, heads, block", [(5, 7, 4, 2, None), (1024, 1024, 16, 2, None), (37, 23, 12, 3, 100)])
+    def test_float32_past_the_bound_runs_the_shifted_forward(self, monkeypatch, n, m, c, heads, block):
+        if block:
+            monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
+        softmaxes = count_calls(monkeypatch, ad, "_softmax_")
+        q, k, v = self.f32((n, c), 43), self.f32((m, c), 44), self.f32((m, c), 45)
+        q.data *= 100.0  # max |q_i| max |k_j| is well past 80 for every head
+        out = ad.attention(q, k, v, heads)
+        blocks = -(-n // max(1, ad.ATTENTION_BLOCK // m))
+        assert len(softmaxes) == heads * blocks
+        assert np.array_equal(out.data, self.shifted(q.data, k.data, v.data, heads))
+
+    @pytest.mark.parametrize("role, bad", [(0, np.nan), (0, np.inf), (1, -np.inf), (1, np.nan), (2, np.nan), (2, np.inf)])
+    def test_float32_nan_or_inf_input_falls_back(self, monkeypatch, role, bad):
+        """A NaN or inf in one head's columns makes that head's bound NaN or inf:
+        it runs the shifted forward, and the other head does not."""
+        softmaxes = count_calls(monkeypatch, ad, "_softmax_")
+        args = [self.f32((6, 8), 46), self.f32((5, 8), 47), self.f32((5, 8), 48)]
+        args[role].data[2, 5] = bad  # head 1 of 2
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = ad.attention(*args, 2).data
+            want = self.shifted(*(t.data for t in args), 2)
+        assert [a[0].shape for a in softmaxes] == [(6, 5)]
+        assert np.array_equal(out[:, 4:], want[:, 4:], equal_nan=True)
+
+    @pytest.mark.parametrize("v_max, shifted", [(2.0, False), (4.5, True)])
+    def test_float32_bound_just_under_80(self, monkeypatch, v_max, shifted):
+        """Logits reach +-74.375 = max |q_i| max |k_j|, and they are exact in
+        float32 (quarter-integer entries), so the float64 reference sees the same
+        logits.  With 64 keys and max |v| = 2 the bound reads 74.375 + log(128) =
+        79.23 and no max shift runs; max |v| = 4.5 puts it at 80.04, past it."""
+        softmaxes = count_calls(monkeypatch, ad, "_softmax_")
+        rng = np.random.default_rng(49)
+        q = rng.integers(-12, 13, size=(40, 4)) / 4.0
+        k = rng.integers(-12, 13, size=(64, 4)) / 4.0
+        q[0], k[0], k[1] = (8.5, 0, 0, 0), (8.75, 0, 0, 0), (-8.75, 0, 0, 0)
+        v = rng.uniform(-1.0, 1.0, size=(64, 4))
+        v[3, 0] = v_max
+        q, k, v = (Tensor(a.astype(np.float32)) for a in (q, k, v))
+        out = ad.attention(q, k, v, 1)
+        assert len(softmaxes) == int(shifted)
+        assert np.abs(q.data @ k.data.T).max() == 74.375
+        self.assert_near_reference(out, q, k, v, 1)
+
+    # the last case runs blocks of 4 query rows over 23 keys: 9 full and a last of 1
+    @pytest.mark.parametrize("n, m, c, heads, block", [(5, 7, 4, 2, None), (256, 256, 16, 2, None), (37, 23, 12, 3, 100)])
+    def test_float32_taped_gradients(self, monkeypatch, n, m, c, heads, block):
+        """The backward rebuilds p from the unshifted path's log-denominator; its
+        float32 gradients are within 2e-5 of the largest float64 reference
+        gradient (measured at most 2.0e-6)."""
+        if block:
+            monkeypatch.setattr(ad, "ATTENTION_BLOCK", block)
+        softmaxes = count_calls(monkeypatch, ad, "_softmax_")
+        q, k, v = (Tensor(self.f32(s, seed).data, requires_grad=True) for s, seed in (((n, c), 60), ((m, c), 61), ((m, c), 62)))
+        g = np.random.default_rng(63).normal(size=(n, c)).astype(np.float32)
+        out = ad.attention(q, k, v, heads)
+        ad.mean(out * Tensor(g)).backward()
+        assert softmaxes == []
+        expected = self.reference_gradients(*(t.data.astype(np.float64) for t in (q, k, v)), heads, g / g.size)
+        largest = max(np.abs(e).max() for e in expected)
+        for got, want in zip((q.grad, k.grad, v.grad), expected):
+            assert got.dtype == np.float32
+            assert np.abs(got - want).max() <= 2e-5 * largest
+
     def test_tape_keeps_no_logits(self):
         """A taped forward at N = M = 2048 keeps, beyond its output, one log-sum-exp
         per row and head (32 KiB); one head's logits would be 32 MiB.  On inputs
@@ -268,6 +376,7 @@ class TestAttention:
             ((3, 4), (5, 4), (5, 4), 3),  # 3 does not divide 4
             ((3, 4), (5, 4), (5, 4), 0),  # no heads
             ((12,), (5, 4), (5, 4), 1),  # 1-d queries
+            ((3, 4), (0, 4), (0, 4), 1),  # no keys: the softmax has no terms
         ],
     )
     def test_bad_shapes_and_heads_rejected(self, q, k, v, heads):

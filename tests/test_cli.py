@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, shifted_imu_pair, textured_image
-from evseen import align, formats, seenet
+from evseen import align, cli, formats, seenet
 from evseen.cli import build_parser, main
 from evseen.imaging import RgbImage
 from evseen.pairing import synth_scene
@@ -567,6 +567,21 @@ class TestEnhanceBoundaries:
         assert len(calls) == 1
         assert len(list((tmp_path / "out").glob("enhanced_*.ppm"))) == 5
 
+    @pytest.mark.parametrize("prompt, name", [("0.996", "enhanced_0.996.ppm"), ("0.004", "enhanced_0.004.ppm"), ("0.5", "enhanced_0.50.ppm")])
+    def test_output_named_by_the_prompt_it_ran(self, trained_dir, tmp_path, prompt, name):
+        img_path, ev_path = enhance_files(tmp_path)
+        out = tmp_path / "out"
+        assert enhance(img_path, ev_path, trained_dir / "checkpoint.evck", out, "--prompt", prompt) == 0
+        assert sorted(p.name for p in out.glob("enhanced_*.ppm")) == [name]
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [str(out / name)]
+
+    def test_sweep_names_stay_distinct(self, monkeypatch):
+        assert cli._parse_sweep("0.015:0.99:0.01")[2:4] == [0.035, 0.045]  # named enhanced_0.035 and 0.045
+        # the collision check reads names through the same label: at two decimals those two would collide
+        monkeypatch.setattr(cli, "_prompt_label", lambda v: f"{v:.2f}")
+        with pytest.raises(ValueError, match="sweep prompts 0.035 and 0.045 would both be written to enhanced_0.04.ppm"):
+            cli._parse_sweep("0.015:0.99:0.01")
+
     @pytest.mark.parametrize("which, keep", [("checkpoint", 6), ("checkpoint", 13), ("checkpoint", 20), ("events", 6), ("events", 10), ("events", 14)])
     def test_truncated_input_exits_3(self, trained_dir, tmp_path, which, keep, capsys):
         img_path, ev_path = enhance_files(tmp_path)
@@ -689,7 +704,6 @@ class TestEnhanceBoundaries:
             ("0.7:0.3:0.1", "0 < start <= stop < 1"),
             ("0.3:0.7:-0.1", "at least 0.01"),
             ("0.3:0.5:1e-20", "at least 0.01"),
-            ("0.015:0.99:0.01", "sweep prompts 0.035 and 0.045 would both be written to enhanced_0.04.ppm"),
         ],
     )
     def test_bad_sweep_exits_2_and_writes_nothing(self, trained_dir, tmp_path, spec, message):
